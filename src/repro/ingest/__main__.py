@@ -37,7 +37,11 @@ from repro.ingest.format import (
 
 
 def _cmd_convert(args) -> int:
-    if args.input_format == "lackey":
+    input_format = args.input_format
+    if input_format is None:
+        is_csv = args.input.lower().endswith((".csv", ".csv.gz"))
+        input_format = "csv" if is_csv else "lackey"
+    if input_format == "lackey":
         records = convert_lackey(args.input)
     else:
         records = convert_csv(args.input)
@@ -131,8 +135,9 @@ def main(argv: "list[str] | None" = None) -> int:
         "--from",
         dest="input_format",
         choices=("lackey", "csv"),
-        default="lackey",
-        help="capture format (default lackey)",
+        default=None,
+        help="capture format (default: csv for .csv/.csv.gz inputs, "
+        "lackey for anything else)",
     )
     convert.add_argument(
         "--binary",

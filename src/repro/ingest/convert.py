@@ -44,22 +44,21 @@ from repro.ingest.format import (
     IngestError,
     OP_CLASSES,
     TraceRecord,
-    open_maybe_gzip,
+    new_record,
+    open_input,
+    record_problem,
 )
 
 #: Memory-line markers in lackey output mapped to portable classes.
 _LACKEY_MEM = {"L": "load", "S": "store", "M": "modify"}
 
 
-def _parse_hex_pair(body: str, where: str) -> "tuple[int, int]":
-    """Parse lackey's ``ADDR,SIZE`` payload (both may be hex or decimal)."""
-    addr_text, sep, size_text = body.partition(",")
-    if not sep:
-        raise IngestError(f"{where}: expected 'addr,size', got {body!r}")
-    try:
-        return int(addr_text, 16), int(size_text, 0)
-    except ValueError as exc:
-        raise IngestError(f"{where}: malformed address pair {body!r}") from exc
+def _pair_error(body: str, path, lineno: int) -> IngestError:
+    """The error for a lackey ``ADDR,SIZE`` payload that did not parse."""
+    body = body.strip()
+    if "," not in body:
+        return IngestError(f"{path}:{lineno}: expected 'addr,size', got {body!r}")
+    return IngestError(f"{path}:{lineno}: malformed address pair {body!r}")
 
 
 def convert_lackey(path: "str | Path") -> Iterator[TraceRecord]:
@@ -69,53 +68,61 @@ def convert_lackey(path: "str | Path") -> Iterator[TraceRecord]:
     per instruction without data references; taken control transfers
     are inferred from fetch discontinuities (see the module docstring).
     """
-    # One instruction is held back until its successor's pc is known
-    # (branch inference needs the fetch discontinuity); its memory
-    # records were already classified and just wait to be flushed.
-    pending: "list[TraceRecord]" = []
-    pending_pc = pending_len = None
-    pending_where = ""
-
-    def flush(next_pc: "int | None") -> Iterator[TraceRecord]:
-        if pending_pc is None:
-            return
-        if pending:
-            yield from pending
-        else:
-            taken = next_pc is not None and next_pc != pending_pc + pending_len
-            yield TraceRecord(
-                op="branch" if taken else "other",
-                pc=pending_pc,
-                size=pending_len,
-            ).validate(pending_where)
-
-    with open_maybe_gzip(path, "rt") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("=="):
-                continue  # valgrind banner / blank
-            where = f"{path}:{lineno}"
+    # An instruction without memory lines is held back until its
+    # successor's pc is known (branch inference needs the fetch
+    # discontinuity); memory records are complete when read.  Fields
+    # come from int(), so a record is valid iff none is negative;
+    # record_problem words the error for one that is.
+    pc = length = None
+    pc_lineno = 0
+    has_refs = False
+    with open_input(path, "rt") as handle:
+        for lineno, line in enumerate(handle, start=1):
             marker = line[0]
             if marker == "I":
-                pc, length = _parse_hex_pair(line[1:].strip(), where)
-                yield from flush(pc)
-                pending = []
-                pending_pc, pending_len = pc, length
-                pending_where = where
-            elif marker == " " and len(line) > 2 and line[1] in _LACKEY_MEM:
-                if pending_pc is None:
+                body = line[1:]
+                addr_text, _, size_text = body.partition(",")
+                try:
+                    next_pc, next_length = int(addr_text, 16), int(size_text, 0)
+                except ValueError:
+                    raise _pair_error(body, path, lineno) from None
+                if pc is not None and not has_refs:
+                    op = "other" if next_pc == pc + length else "branch"
+                    yield _instruction(op, pc, length, path, pc_lineno)
+                pc, length, pc_lineno, has_refs = next_pc, next_length, lineno, False
+            elif marker == " " and line[1:2] in _LACKEY_MEM and line[2:] not in ("", "\n"):
+                if pc is None:
                     raise IngestError(
-                        f"{where}: memory reference before any instruction line"
+                        f"{path}:{lineno}: memory reference before any "
+                        "instruction line"
                     )
-                ea, size = _parse_hex_pair(line[2:].strip(), where)
-                pending.append(
-                    TraceRecord(
-                        op=_LACKEY_MEM[line[1]], pc=pending_pc, ea=ea, size=size
-                    ).validate(where)
-                )
-            else:
-                raise IngestError(f"{where}: unrecognized lackey line {line!r}")
-        yield from flush(None)
+                body = line[2:]
+                addr_text, _, size_text = body.partition(",")
+                try:
+                    ea, size = int(addr_text, 16), int(size_text, 0)
+                except ValueError:
+                    raise _pair_error(body, path, lineno) from None
+                op = _LACKEY_MEM[line[1]]
+                if pc < 0 or ea < 0 or size < 0:
+                    problem = record_problem(op, pc, ea, size)
+                    raise IngestError(f"{path}:{lineno}: {problem}")
+                has_refs = True
+                yield new_record((op, pc, ea, size))
+            elif line.strip() and not line.startswith("=="):
+                line = line.rstrip("\n")
+                raise IngestError(f"{path}:{lineno}: unrecognized lackey line {line!r}")
+            # else: valgrind banner / blank line
+    if pc is not None and not has_refs:
+        yield _instruction("other", pc, length, path, pc_lineno)
+
+
+def _instruction(op: str, pc: int, length: int, path, lineno: int) -> TraceRecord:
+    """The record of the instruction at ``path:lineno``, which made no
+    data references."""
+    if pc < 0 or length < 0:
+        problem = record_problem(op, pc, None, length)
+        raise IngestError(f"{path}:{lineno}: {problem}")
+    return new_record((op, pc, None, length))
 
 
 def convert_csv(path: "str | Path", header: "bool | None" = None) -> Iterator[TraceRecord]:
@@ -129,22 +136,19 @@ def convert_csv(path: "str | Path", header: "bool | None" = None) -> Iterator[Tr
     ``header=None`` (the default) auto-detects a header row by whether
     the first cell names a known op class.
     """
-    first_data = True
-    with open_maybe_gzip(path, "rt") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
+    with open_input(path, "rt") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
             if not line or line.startswith("#"):
                 continue
             cells = [cell.strip() for cell in line.split(",")]
-            if first_data:
-                if header is None:
-                    header = cells[0].lower() not in OP_CLASSES
-                first_data = False
-                if header:
-                    continue
-            where = f"{path}:{lineno}"
+            if header is None:
+                header = cells[0].lower() not in OP_CLASSES
+            if header:
+                header = False
+                continue
             if len(cells) < 2:
-                raise IngestError(f"{where}: expected op,pc[,ea[,size]]")
+                raise IngestError(f"{path}:{lineno}: expected op,pc[,ea[,size]]")
             op = cells[0].lower()
             try:
                 pc = int(cells[1], 0)
@@ -152,5 +156,8 @@ def convert_csv(path: "str | Path", header: "bool | None" = None) -> Iterator[Tr
                 ea = None if ea_text in ("", "-") else int(ea_text, 0)
                 size = int(cells[3], 0) if len(cells) > 3 and cells[3] else 4
             except ValueError as exc:
-                raise IngestError(f"{where}: malformed field: {exc}") from exc
-            yield TraceRecord(op=op, pc=pc, ea=ea, size=size).validate(where)
+                raise IngestError(f"{path}:{lineno}: malformed field: {exc}") from exc
+            problem = record_problem(op, pc, ea, size)
+            if problem is not None:
+                raise IngestError(f"{path}:{lineno}: {problem}")
+            yield TraceRecord(op, pc, ea, size)

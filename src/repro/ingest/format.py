@@ -24,23 +24,27 @@ it.  A *portable trace* is a flat stream of :class:`TraceRecord`::
 An instruction that performs several memory references appears once per
 reference (same ``pc``); an instruction with none appears exactly once.
 
-Two serializations carry the stream, both optionally gzip-compressed
-(any path ending in ``.gz`` is compressed transparently):
+Two serializations carry the stream.  :func:`write_portable` picks one
+by its ``binary`` argument, :func:`read_portable` tells them apart by
+the ``RPTX`` magic, and either is gzip-compressed transparently when the
+path ends in ``.gz``:
 
-* **NDJSON** (``.ndjson[.gz]``) — a header line
+* **NDJSON** (the default) — a header line
   ``{"format": "repro-trace", "version": 1}`` followed by one JSON
   object per record: ``{"op": "load", "pc": 74565, "ea": 9645, "size":
-  4}`` (``ea`` may be omitted for non-memory classes).  Line-oriented,
+  4}`` (``ea`` may be omitted for non-memory classes, ``size`` defaults
+  to 4; ``pc``/``ea``/``size`` must be JSON integers).  Line-oriented,
   greppable, diffable — the interchange default.
-* **binary** (``.rptx[.gz]``) — header ``RPTX``, version, record
-  count; then one packed 20-byte record per reference
-  (``<QQHBx``: pc, ea+1 with 0 = none, size, op code).  ~5x smaller
-  and ~10x faster to scan; use it for multi-million-reference streams.
+* **binary** — header ``RPTX``, version, record count; then one packed
+  20-byte record per reference (``<QQHBx``: pc, ea+1 with 0 = none,
+  size clamped to 65535, op code).  On the committed 110,982-record
+  lackey fixture it is 2.2x smaller than NDJSON and about 2x faster to
+  read back; use it for multi-million-reference streams.
 
 Both forms stream: readers yield records one at a time and never
 materialize the file, so window selection over huge traces stays
 memory-flat.  Malformed input raises :class:`IngestError` with the
-offending line/offset.
+offending line (NDJSON) or record index (binary).
 """
 
 from __future__ import annotations
@@ -48,7 +52,11 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+import re
 import struct
+import zlib
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -80,25 +88,45 @@ class TraceRecord(NamedTuple):
 
     def validate(self, where: str = "") -> "TraceRecord":
         """Check class/field consistency; returns self for chaining."""
-        prefix = f"{where}: " if where else ""
-        if self.op not in _OP_CODE:
-            raise IngestError(
-                f"{prefix}unknown op class {self.op!r} "
-                f"(expected one of {', '.join(OP_CLASSES)})"
-            )
-        if self.pc < 0:
-            raise IngestError(f"{prefix}negative pc {self.pc}")
-        if self.op in MEM_CLASSES:
-            if self.ea is None:
-                raise IngestError(
-                    f"{prefix}{self.op} record at pc {self.pc:#x} has no "
-                    "effective address"
-                )
-            if self.ea < 0:
-                raise IngestError(f"{prefix}negative effective address {self.ea}")
-        if self.size < 0:
-            raise IngestError(f"{prefix}negative size {self.size}")
-        return self
+        problem = record_problem(*self)
+        if problem is None:
+            return self
+        raise IngestError(f"{where}: {problem}" if where else problem)
+
+
+#: ``TraceRecord`` from a ``(op, pc, ea, size)`` tuple, skipping the
+#: Python-level ``__new__`` NamedTuple generates (``TraceRecord._make``
+#: without its length check): the streaming parsers build one per line.
+new_record = partial(tuple.__new__, TraceRecord)
+
+
+def record_problem(op, pc, ea, size) -> "str | None":
+    """What is wrong with the record ``(op, pc, ea, size)``, or None.
+
+    The check behind :meth:`TraceRecord.validate`, callable on the bare
+    fields so the streaming readers and writers can validate every
+    record and build the error position only when one is bad.  ``pc``,
+    ``size`` and (when present) ``ea`` must be non-negative ints (bools
+    excluded); memory classes require ``ea``.
+    """
+    if not isinstance(op, str) or op not in _OP_CODE:
+        return f"unknown op class {op!r} (expected one of {', '.join(OP_CLASSES)})"
+    if type(pc) is not int:
+        return f"pc is not an integer: {pc!r}"
+    if pc < 0:
+        return f"negative pc {pc}"
+    if ea is None:
+        if op in MEM_CLASSES:
+            return f"{op} record at pc {pc:#x} has no effective address"
+    elif type(ea) is not int:
+        return f"effective address is not an integer: {ea!r}"
+    elif ea < 0:
+        return f"negative effective address {ea}"
+    if type(size) is not int:
+        return f"size is not an integer: {size!r}"
+    if size < 0:
+        return f"negative size {size}"
+    return None
 
 
 def open_maybe_gzip(path: "str | Path", mode: str = "rb") -> IO:
@@ -127,9 +155,40 @@ def source_digest(path: "str | Path") -> str:
 # NDJSON serialization.
 # ---------------------------------------------------------------------------
 
+#: Errors a reader can meet below the record level: bytes that are not
+#: text, a corrupt or cut-short gzip stream.
+_UNREADABLE = (UnicodeDecodeError, EOFError, zlib.error, gzip.BadGzipFile)
+
+#: The exact line :func:`write_portable` emits for a record.  Lines of
+#: this shape are parsed by one anchored regex; any other JSON line
+#: (the format allows any whitespace, key order or an omitted ``size``)
+#: goes through ``json.loads``.  The integers follow JSON's grammar (no
+#: leading zeros), so both paths accept and decode a line identically.
+_CANONICAL_LINE = re.compile(
+    r'\{"op":"([a-z]+)","pc":(0|[1-9][0-9]*)(?:,"ea":(0|[1-9][0-9]*))?'
+    r',"size":(0|[1-9][0-9]*)\}$'
+)
+
+#: Records joined into one ``write`` call: bounds the text buffered
+#: between writes to a few hundred KB.
+_WRITE_CHUNK = 4096
+#: Records per ``read`` of the binary reader (80 KB blocks).
+_READ_BLOCK = 4096
+
+
+@contextmanager
+def open_input(path: "str | Path", mode: str = "rt") -> Iterator[IO]:
+    """:func:`open_maybe_gzip` for readers: input that cannot be decoded
+    (not text, corrupt gzip) raises :class:`IngestError`."""
+    try:
+        with open_maybe_gzip(path, mode) as handle:
+            yield handle
+    except _UNREADABLE as exc:
+        raise IngestError(f"{path}: unreadable input: {exc}") from exc
+
 
 def _looks_binary(path: "str | Path") -> bool:
-    with open_maybe_gzip(path, "rb") as handle:
+    with open_input(path, "rb") as handle:
         return handle.read(4) == _BIN_MAGIC
 
 
@@ -144,6 +203,7 @@ def write_portable(
     if binary:
         return _write_binary(path, records)
     count = 0
+    lines: "list[str]" = []
     with open_maybe_gzip(path, "wt") as handle:
         handle.write(
             json.dumps(
@@ -152,33 +212,46 @@ def write_portable(
             )
             + "\n"
         )
-        for rec in records:
-            rec.validate()
-            payload: dict = {"op": rec.op, "pc": rec.pc}
-            if rec.ea is not None:
-                payload["ea"] = rec.ea
-            payload["size"] = rec.size
-            handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
-            count += 1
+        for op, pc, ea, size in records:
+            problem = record_problem(op, pc, ea, size)
+            if problem is not None:
+                raise IngestError(problem)
+            # A validated op is a plain class name and str(int) is
+            # json.dumps(int): these are the compact json.dumps lines.
+            if ea is None:
+                lines.append(f'{{"op":"{op}","pc":{pc},"size":{size}}}\n')
+            else:
+                lines.append(f'{{"op":"{op}","pc":{pc},"ea":{ea},"size":{size}}}\n')
+            if len(lines) == _WRITE_CHUNK:
+                handle.write("".join(lines))
+                count += len(lines)
+                lines.clear()
+        handle.write("".join(lines))
+        count += len(lines)
     return count
 
 
 def _write_binary(path: "str | Path", records: Iterable[TraceRecord]) -> int:
-    # The header carries the record count, so a one-pass write buffers
-    # packed records and stamps the header last (still streaming per
-    # record; only the packed bytes accumulate).
-    packed = []
-    for rec in records:
-        rec.validate()
-        ea1 = 0 if rec.ea is None else rec.ea + 1
-        packed.append(
-            _BIN_RECORD.pack(rec.pc, ea1, min(rec.size, 0xFFFF), _OP_CODE[rec.op])
-        )
+    # The header carries the record count, so a one-pass write packs the
+    # records into one buffer (20 bytes each) and stamps the header last.
+    packed = bytearray()
+    pack = _BIN_RECORD.pack
+    count = 0
+    for op, pc, ea, size in records:
+        problem = record_problem(op, pc, ea, size)
+        if problem is not None:
+            raise IngestError(problem)
+        try:
+            packed += pack(pc, 0 if ea is None else ea + 1, min(size, 0xFFFF), _OP_CODE[op])
+        except struct.error as exc:
+            raise IngestError(
+                f"record {count} does not fit the binary form: {exc}"
+            ) from exc
+        count += 1
     with open_maybe_gzip(path, "wb") as handle:
-        handle.write(_BIN_HEADER.pack(_BIN_MAGIC, FORMAT_VERSION, len(packed)))
-        for chunk in packed:
-            handle.write(chunk)
-    return len(packed)
+        handle.write(_BIN_HEADER.pack(_BIN_MAGIC, FORMAT_VERSION, count))
+        handle.write(packed)
+    return count
 
 
 def read_portable(path: "str | Path") -> Iterator[TraceRecord]:
@@ -190,11 +263,11 @@ def read_portable(path: "str | Path") -> Iterator[TraceRecord]:
     if _looks_binary(path):
         yield from _read_binary(path)
         return
-    with open_maybe_gzip(path, "rt") as handle:
+    with open_input(path, "rt") as handle:
         header_line = handle.readline()
         try:
             header = json.loads(header_line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise IngestError(
                 f"{path}: not a portable trace (bad header line: {exc})"
             ) from exc
@@ -207,48 +280,75 @@ def read_portable(path: "str | Path") -> Iterator[TraceRecord]:
                 f"{path}: unsupported portable-trace version "
                 f"{header.get('version')!r}"
             )
+        canonical = _CANONICAL_LINE.match
         for lineno, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                rec = TraceRecord(
-                    op=payload["op"],
-                    pc=int(payload["pc"]),
-                    ea=None if payload.get("ea") is None else int(payload["ea"]),
-                    size=int(payload.get("size", 4)),
-                )
-            except (ValueError, KeyError, TypeError) as exc:
-                raise IngestError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            yield rec.validate(f"{path}:{lineno}")
+            fields = canonical(line)
+            if fields is not None:
+                op, pc, ea, size = fields.groups()
+                pc, size = int(pc), int(size)
+                if ea is not None:
+                    ea = int(ea)
+                # The regex admits only non-negative integers, which
+                # leaves the class and a memory class's address to check.
+                if op in _OP_CODE and (ea is not None or op not in MEM_CLASSES):
+                    yield new_record((op, pc, ea, size))
+                    continue
+            else:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    payload = json.loads(line)
+                    op, pc = payload["op"], payload["pc"]
+                    ea, size = payload.get("ea"), payload.get("size", 4)
+                except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                    raise IngestError(
+                        f"{path}:{lineno}: malformed record: {exc}"
+                    ) from exc
+            problem = record_problem(op, pc, ea, size)
+            if problem is not None:
+                raise IngestError(f"{path}:{lineno}: {problem}")
+            yield TraceRecord(op, pc, ea, size)
+
+
+def _read_binary_header(handle: IO, path: "str | Path") -> int:
+    """Check the ``RPTX`` header at ``handle``; returns the record count."""
+    header = handle.read(_BIN_HEADER.size)
+    if len(header) < _BIN_HEADER.size:
+        raise IngestError(f"{path}: truncated binary-trace header")
+    magic, version, count = _BIN_HEADER.unpack(header)
+    if magic != _BIN_MAGIC:
+        raise IngestError(f"{path}: bad binary-trace magic {magic!r}")
+    if version != FORMAT_VERSION:
+        raise IngestError(f"{path}: unsupported binary-trace version {version}")
+    return count
 
 
 def _read_binary(path: "str | Path") -> Iterator[TraceRecord]:
-    with open_maybe_gzip(path, "rb") as handle:
-        header = handle.read(_BIN_HEADER.size)
-        if len(header) < _BIN_HEADER.size:
-            raise IngestError(f"{path}: truncated binary-trace header")
-        magic, version, count = _BIN_HEADER.unpack(header)
-        if magic != _BIN_MAGIC:
-            raise IngestError(f"{path}: bad binary-trace magic {magic!r}")
-        if version != FORMAT_VERSION:
-            raise IngestError(f"{path}: unsupported binary-trace version {version}")
-        for i in range(count):
-            raw = handle.read(_BIN_RECORD.size)
-            if len(raw) < _BIN_RECORD.size:
-                raise IngestError(
-                    f"{path}: truncated at record {i} of {count}"
-                )
-            pc, ea1, size, code = _BIN_RECORD.unpack(raw)
-            if code >= len(OP_CLASSES):
-                raise IngestError(f"{path}: record {i} has unknown op code {code}")
-            yield TraceRecord(
-                op=OP_CLASSES[code],
-                pc=pc,
-                ea=None if ea1 == 0 else ea1 - 1,
-                size=size,
-            ).validate(f"{path}: record {i}")
+    record_size = _BIN_RECORD.size
+    with open_input(path, "rb") as handle:
+        count = _read_binary_header(handle, path)
+        index = 0
+        while index < count:
+            want = min(count - index, _READ_BLOCK)
+            block = handle.read(want * record_size)
+            whole = len(block) // record_size
+            for pc, ea1, size, code in _BIN_RECORD.iter_unpack(
+                memoryview(block)[: whole * record_size]
+            ):
+                if code >= len(OP_CLASSES):
+                    raise IngestError(
+                        f"{path}: record {index} has unknown op code {code}"
+                    )
+                op = OP_CLASSES[code]
+                ea = None if ea1 == 0 else ea1 - 1
+                problem = record_problem(op, pc, ea, size)
+                if problem is not None:
+                    raise IngestError(f"{path}: record {index}: {problem}")
+                yield new_record((op, pc, ea, size))
+                index += 1
+            if whole < want:
+                raise IngestError(f"{path}: truncated at record {index} of {count}")
         if handle.read(1):
             raise IngestError(f"{path}: trailing data after {count} records")
 
@@ -260,20 +360,10 @@ def count_records(path: "str | Path") -> int:
     without parsing record bodies.
     """
     if _looks_binary(path):
-        with open_maybe_gzip(path, "rb") as handle:
-            header = handle.read(_BIN_HEADER.size)
-            if len(header) < _BIN_HEADER.size:
-                raise IngestError(f"{path}: truncated binary-trace header")
-            magic, version, count = _BIN_HEADER.unpack(header)
-            if magic != _BIN_MAGIC:
-                raise IngestError(f"{path}: bad binary-trace magic {magic!r}")
-            if version != FORMAT_VERSION:
-                raise IngestError(
-                    f"{path}: unsupported binary-trace version {version}"
-                )
-            return count
+        with open_input(path, "rb") as handle:
+            return _read_binary_header(handle, path)
     count = 0
-    with open_maybe_gzip(path, "rt") as handle:
+    with open_input(path, "rt") as handle:
         handle.readline()  # header (validated by read_portable when replayed)
         for line in handle:
             if line.strip():

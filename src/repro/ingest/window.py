@@ -33,7 +33,9 @@ read — so callers can select first and stream-extract second.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from urllib.parse import parse_qs
 
 from repro.caches.replacement import XorShift32
@@ -165,16 +167,11 @@ class WindowSpec:
         ``records`` is streamed exactly once (it need not be a list);
         ranges come from :meth:`select_windows` over ``total_records``.
         """
-        ranges = self.select_windows(total_records)
-        bounds = iter(ranges)
-        current = next(bounds, None)
-        for index, record in enumerate(records):
-            if current is None:
-                return
-            start, stop = current
-            if index < start:
-                continue
-            if index < stop:
-                yield record
-            if index >= stop - 1:
-                current = next(bounds, None)
+        stream = iter(records)
+        position = 0
+        for start, stop in self.select_windows(total_records):
+            # Records before the window are consumed (the reader still
+            # checks each one) without a Python-level step per record.
+            deque(islice(stream, start - position), maxlen=0)
+            yield from islice(stream, stop - start)
+            position = stop
