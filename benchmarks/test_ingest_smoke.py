@@ -8,10 +8,10 @@ path.  Asserts:
 
 1. the headline statistics are bit-identical to the committed golden
    (``benchmarks/GOLDEN_ingest.json``);
-2. the interpreted, compiled-kernel, batch-kernel, artifact-cached, and
-   jobs=2 parallel paths all agree bit-for-bit;
-3. ``REPRO_KERNEL=0`` (and friends: false/no/off) verifiably leaves the
-   kernel disabled — the env-flag truthiness regression.
+2. the serial, artifact-cached, and jobs=2 parallel paths all agree
+   bit-for-bit;
+3. ``REPRO_NO_NUMPY=0`` (and friends: false/no/off) verifiably leaves
+   numpy enabled — the env-flag truthiness regression.
 
 Run directly (the CI ``ingest-smoke`` job)::
 
@@ -62,7 +62,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.env import env_bool
+    from repro.analysis.reusedist import _numpy
     from repro.eval.artifacts import ArtifactStore
     from repro.eval.options import EvalOptions
     from repro.eval.parallel import run_many
@@ -110,15 +110,6 @@ def main(argv: "list[str] | None" = None) -> int:
 
         # 4. Bit-identity across every execution path.
         full = {d: dataclasses.asdict(simulate(r).stats) for d, r in zip(DESIGNS, reqs)}
-        for label, extra in (("kernel", {"kernel": True}),
-                             ("kernel-batch", {"kernel_batch": True})):
-            for design in DESIGNS:
-                req = RunRequest.create(
-                    token, design, max_instructions=BUDGET, **extra
-                )
-                got = dataclasses.asdict(simulate(req).stats)
-                if got != full[design]:
-                    failures.append(f"{label}/{design}: diverged from interpreted path")
 
         store = ArtifactStore(tmp / "artifacts", fingerprint="ingest-smoke")
         previous = configure_artifacts(store)
@@ -134,33 +125,32 @@ def main(argv: "list[str] | None" = None) -> int:
             failures.append("artifact store never hit on the warm pass")
         for design in DESIGNS:
             if cold[design] != full[design] or warm[design] != full[design]:
-                failures.append(f"cached/{design}: diverged from interpreted path")
+                failures.append(f"cached/{design}: diverged from serial path")
 
         par = run_many(reqs, EvalOptions(jobs=2))
         for design, result in zip(DESIGNS, par):
             if dataclasses.asdict(result.stats) != full[design]:
-                failures.append(f"jobs=2/{design}: diverged from interpreted path")
-        print("bit-identity: kernel, kernel-batch, cached, jobs=2 all agree")
+                failures.append(f"jobs=2/{design}: diverged from serial path")
+        print("bit-identity: cached, jobs=2 agree with serial")
 
     # 5. The env-flag truthiness regression, end to end.
     import os
 
-    ns = argparse.Namespace(kernel=False, kernel_batch=False, no_cache=True)
-    for word in ("0", "false", "no", "off"):
-        os.environ["REPRO_KERNEL"] = word
-        try:
-            opts = EvalOptions.from_args(ns)
-            if opts.kernel or env_bool("REPRO_KERNEL"):
-                failures.append(f"REPRO_KERNEL={word!r} failed to disable the kernel")
-        finally:
-            del os.environ["REPRO_KERNEL"]
-    os.environ["REPRO_KERNEL"] = "1"
+    previous = os.environ.pop("REPRO_NO_NUMPY", None)
     try:
-        if not EvalOptions.from_args(ns).kernel:
-            failures.append("REPRO_KERNEL=1 failed to enable the kernel")
+        numpy = _numpy()
+        for word in ("0", "false", "no", "off"):
+            os.environ["REPRO_NO_NUMPY"] = word
+            if _numpy() is not numpy:
+                failures.append(f"REPRO_NO_NUMPY={word!r} disabled numpy")
+        os.environ["REPRO_NO_NUMPY"] = "1"
+        if _numpy() is not None:
+            failures.append("REPRO_NO_NUMPY=1 failed to disable numpy")
     finally:
-        del os.environ["REPRO_KERNEL"]
-    print("env gate: REPRO_KERNEL=0/false/no/off disable, =1 enables")
+        os.environ.pop("REPRO_NO_NUMPY", None)
+        if previous is not None:
+            os.environ["REPRO_NO_NUMPY"] = previous
+    print("env gate: REPRO_NO_NUMPY=0/false/no/off keep numpy, =1 disables")
 
     if failures:
         print("\nFAIL:", file=sys.stderr)

@@ -21,7 +21,6 @@ import argparse
 from repro.analysis.demand import demand_profile
 from repro.analysis.reusedist import StackDistanceAnalyzer
 from repro.analysis.spatial import profile_workload
-from repro.env import env_bool
 from repro.eval.options import add_eval_args
 from repro.eval.runner import RunRequest, run_one
 from repro.ingest.build import add_trace_args, trace_workload_from_args
@@ -67,13 +66,6 @@ def _cmd_run(args) -> int:
         fp_regs=args.regs,
         max_instructions=args.insts,
         **({"model_itlb": True} if args.itlb else {}),
-        # Flag > environment (via env_bool, so REPRO_KERNEL=0 disables).
-        **({"kernel": True} if args.kernel or env_bool("REPRO_KERNEL") else {}),
-        **(
-            {"kernel_batch": True}
-            if args.kernel_batch or env_bool("REPRO_KERNEL_BATCH")
-            else {}
-        ),
     )
     profiler = None
     if args.profile:

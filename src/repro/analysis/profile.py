@@ -25,9 +25,9 @@ the design-independent statistics the analytical translation-cost model
 
 Profiles are a pure function of the trace and the profiling parameters,
 so they serialize into the build container's ``PROF`` section
-(:mod:`repro.func.tracefile`) and hydrate through ``ArtifactStore``
-exactly like the kernel's ``KERN`` arrays: wrong version or parameter
-mismatch reads as a clean miss and the profile is rebuilt.
+(:mod:`repro.func.tracefile`) and hydrate through ``ArtifactStore``:
+wrong version or parameter mismatch reads as a clean miss and the
+profile is rebuilt.
 
 Every statistic is defined for degenerate streams — empty traces,
 single references, and cold-only page streams yield zeros, not division

@@ -18,9 +18,8 @@ Two implementations, same exact histogram:
   With numpy available it runs a vectorized offline algorithm
   (previous-occurrence array via a stable argsort, then the nested-reuse
   correction as a bottom-up merge count); without numpy — or with
-  ``REPRO_NO_NUMPY=1``, mirroring :mod:`repro.kernel.encode` — it falls
-  back to the streaming analyzer.  The two paths are byte-identical:
-  distances are exact integers either way.
+  ``REPRO_NO_NUMPY=1`` — it falls back to the streaming analyzer.  The
+  two paths are byte-identical: distances are exact integers either way.
 
 The vectorized identity: with ``prev[i]`` the index of the previous
 reference to ``page[i]`` (undefined on first touch), the stack distance

@@ -104,10 +104,7 @@ class SetAssocCache:
 
     def probe(self, addr: int) -> bool:
         """Check residency without updating state or stats."""
-        return self.probe_block(addr >> self.block_shift)
-
-    def probe_block(self, block: int) -> bool:
-        """:meth:`probe` for callers that already hold the block number."""
+        block = addr >> self.block_shift
         ways = self._sets[block & self.set_mask]
         return any(line[0] == block for line in ways)
 
@@ -118,10 +115,7 @@ class SetAssocCache:
         (write-allocate), possibly writing back a dirty victim (counted
         in ``stats.writebacks``).
         """
-        return self.access_block(addr >> self.block_shift, write)
-
-    def access_block(self, block: int, write: bool = False) -> bool:
-        """:meth:`access` for callers that already hold the block number."""
+        block = addr >> self.block_shift
         ways = self._sets[block & self.set_mask]
         self.stats.accesses += 1
         for i, line in enumerate(ways):

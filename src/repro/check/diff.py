@@ -18,24 +18,18 @@ twin; this module runs both sides and diffs the outcome:
   timing-vs-functional counter cross-checks (committed instructions,
   memory references, and control transfers must match the trace the
   functional simulator produced).
-* **kernel** — the compiled trace kernel (:mod:`repro.kernel`) vs. the
-  interpreted machine, under both the event-driven and the plain loop,
-  compared over the full stats dataclass; divergences are located by
-  lockstep timeline comparison exactly like the loops check.
-* **kernel-batch** — the batch-vectorized backend
-  (:mod:`repro.kernel.batch`: encode-time geometry + wavefront
-  stepping) vs. the interpreted machine, same comparison; in-order
-  requests exercise the documented fallback to the base kernel.
 
 The entry point is :func:`run_differential`, which returns a
 :class:`DiffReport`; the fuzz harness (:mod:`repro.check.fuzz`) drives
 it across random configurations, and ``python -m repro.check.diff``
 runs a chosen check subset over a workload × design grid (CI's
-``kernel-smoke`` job and the Figure 5 acceptance sweep).
+``check-smoke`` and ``ingest-smoke`` jobs and the Figure 5 acceptance
+sweep).
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import tempfile
 from dataclasses import dataclass, field
@@ -48,10 +42,9 @@ from repro.eval.runner import RunRequest, _CACHE, simulate
 from repro.func.executor import run_program
 from repro.func.tracefile import decode_program, encode_program
 from repro.ingest.build import is_trace_workload
-from repro.kernel import capture_batch_timelines, capture_kernel_timelines
 
 #: The redundant paths one differential run exercises.
-CHECKS = ("loops", "artifacts", "functional", "kernel", "kernel-batch")
+CHECKS = ("loops", "artifacts", "functional")
 
 #: Instructions captured per side when locating a loop divergence.
 PIPEVIEW_LIMIT = 160
@@ -331,183 +324,6 @@ def _check_functional(req: RunRequest, timing, mismatches: list[Mismatch]) -> No
         )
 
 
-# ---------------------------------------------------------------------------
-# Check 4: compiled trace kernel vs. interpreted machine.
-# ---------------------------------------------------------------------------
-
-
-def _first_kernel_divergence(
-    req: RunRequest, event_driven: bool, limit: int
-) -> tuple[int | None, str]:
-    """Locate a kernel divergence by lockstep timeline comparison."""
-    trace = _CACHE.get_trace(
-        req.workload, req.int_regs, req.fp_regs, req.scale, req.max_instructions
-    )
-    config = dataclasses.replace(
-        req.machine_config(), event_driven=event_driven, sanity=False, kernel=False
-    )
-    interp = PipelineTrace.capture(
-        config, req.make_mech(config.page_shift), trace, limit=limit
-    )
-    kern_tls, kern_result = capture_kernel_timelines(
-        config, req.make_mech(config.page_shift), trace, limit=limit
-    )
-    for i, (k, s) in enumerate(zip(kern_tls, interp.timelines)):
-        k_stages = (k.dispatch, k.issue, k.complete, k.commit)
-        s_stages = (s.dispatch, s.issue, s.complete, s.commit)
-        if k_stages == s_stages:
-            continue
-        cycle = min(
-            c
-            for ka, sa in zip(k_stages, s_stages)
-            if ka != sa
-            for c in (ka, sa)
-            if c >= 0
-        )
-        lo, hi = max(0, i - 3), i + 4
-        excerpt = (
-            f"  first divergent instruction: #{k.seq} {k.text}\n"
-            "  kernel:\n"
-            + _indent(PipelineTrace(kern_tls[lo:hi], kern_result).render())
-            + "\n  interpreted:\n"
-            + _indent(PipelineTrace(interp.timelines[lo:hi], interp.result).render())
-        )
-        return cycle, excerpt
-    return None, (
-        f"  (stage timelines agree over the first {limit} instructions; "
-        "the divergence lies beyond the pipeview window)"
-    )
-
-
-def _check_kernel(req: RunRequest, mismatches: list[Mismatch], pipeview_limit: int):
-    """The compiled kernel must be bit-identical to the interpreted
-    machine under both cycle loops.
-
-    ``sanity=False`` is forced on every side: a kernel request carrying
-    sanity hooks falls back to the interpreted machine by design, which
-    would silently compare the interpreter against itself.
-    """
-    base = simulate(
-        request_with_config(req, kernel=False, sanity=False, event_driven=True)
-    )
-    a = _stats_dict(base.stats)
-    for event_driven in (True, False):
-        loop = "event-driven" if event_driven else "plain"
-        kern = simulate(
-            request_with_config(
-                req, kernel=True, sanity=False, event_driven=event_driven
-            )
-        )
-        b = _stats_dict(kern.stats)
-        if a == b:
-            continue
-        cycle, excerpt = _first_kernel_divergence(req, event_driven, pipeview_limit)
-        mismatches.append(
-            Mismatch(
-                "kernel",
-                f"compiled kernel ({loop} loop) diverges from the "
-                "interpreted machine: " + _diff_stats(b, a, "kernel", "interpreted"),
-                cycle=cycle,
-                excerpt=excerpt,
-            )
-        )
-
-
-# ---------------------------------------------------------------------------
-# Check 5: batch-vectorized kernel backend vs. interpreted machine.
-# ---------------------------------------------------------------------------
-
-
-def _first_batch_divergence(
-    req: RunRequest, event_driven: bool, limit: int
-) -> tuple[int | None, str]:
-    """Locate a batch-backend divergence by lockstep timeline comparison."""
-    trace = _CACHE.get_trace(
-        req.workload, req.int_regs, req.fp_regs, req.scale, req.max_instructions
-    )
-    config = dataclasses.replace(
-        req.machine_config(),
-        event_driven=event_driven,
-        sanity=False,
-        kernel=False,
-        kernel_batch=False,
-    )
-    interp = PipelineTrace.capture(
-        config, req.make_mech(config.page_shift), trace, limit=limit
-    )
-    batch_tls, batch_result = capture_batch_timelines(
-        config, req.make_mech(config.page_shift), trace, limit=limit
-    )
-    for i, (k, s) in enumerate(zip(batch_tls, interp.timelines)):
-        k_stages = (k.dispatch, k.issue, k.complete, k.commit)
-        s_stages = (s.dispatch, s.issue, s.complete, s.commit)
-        if k_stages == s_stages:
-            continue
-        cycle = min(
-            c
-            for ka, sa in zip(k_stages, s_stages)
-            if ka != sa
-            for c in (ka, sa)
-            if c >= 0
-        )
-        lo, hi = max(0, i - 3), i + 4
-        excerpt = (
-            f"  first divergent instruction: #{k.seq} {k.text}\n"
-            "  batch kernel:\n"
-            + _indent(PipelineTrace(batch_tls[lo:hi], batch_result).render())
-            + "\n  interpreted:\n"
-            + _indent(PipelineTrace(interp.timelines[lo:hi], interp.result).render())
-        )
-        return cycle, excerpt
-    return None, (
-        f"  (stage timelines agree over the first {limit} instructions; "
-        "the divergence lies beyond the pipeview window)"
-    )
-
-
-def _check_kernel_batch(
-    req: RunRequest, mismatches: list[Mismatch], pipeview_limit: int
-):
-    """The batch backend must be bit-identical to the interpreted
-    machine under both cycle loops.
-
-    ``sanity=False`` is forced for the same reason as the kernel check;
-    an in-order request exercises the runner's documented fallback to
-    the base kernel, so the check stays meaningful on both issue
-    models.
-    """
-    base = simulate(
-        request_with_config(
-            req, kernel=False, kernel_batch=False, sanity=False, event_driven=True
-        )
-    )
-    a = _stats_dict(base.stats)
-    for event_driven in (True, False):
-        loop = "event-driven" if event_driven else "plain"
-        batch = simulate(
-            request_with_config(
-                req,
-                kernel=False,
-                kernel_batch=True,
-                sanity=False,
-                event_driven=event_driven,
-            )
-        )
-        b = _stats_dict(batch.stats)
-        if a == b:
-            continue
-        cycle, excerpt = _first_batch_divergence(req, event_driven, pipeview_limit)
-        mismatches.append(
-            Mismatch(
-                "kernel-batch",
-                f"batch kernel ({loop} loop) diverges from the "
-                "interpreted machine: " + _diff_stats(b, a, "batch", "interpreted"),
-                cycle=cycle,
-                excerpt=excerpt,
-            )
-        )
-
-
 def run_differential(
     req: RunRequest,
     pipeview_limit: int = PIPEVIEW_LIMIT,
@@ -532,10 +348,6 @@ def run_differential(
         _check_artifacts(req, report.mismatches)
     if "functional" in checks:
         _check_functional(req, timing, report.mismatches)
-    if "kernel" in checks:
-        _check_kernel(req, report.mismatches, pipeview_limit)
-    if "kernel-batch" in checks:
-        _check_kernel_batch(req, report.mismatches, pipeview_limit)
     return report
 
 
@@ -544,16 +356,25 @@ def run_differential(
 # ---------------------------------------------------------------------------
 
 
+def _parse_checks(text: str) -> "tuple[str, ...]":
+    """argparse type for ``--checks``: unknown names fail at parse time."""
+    checks = tuple(c for c in text.split(",") if c)
+    unknown = [c for c in checks if c not in CHECKS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown check(s) {','.join(unknown)}; choose from {','.join(CHECKS)}"
+        )
+    return checks
+
+
 def main(argv=None) -> int:
     """``python -m repro.check.diff`` — grid differential sweep.
 
     Runs the selected checks for every workload × design × issue-model
     combination and exits non-zero on the first batch containing a
-    mismatch.  CI's kernel-smoke job and the Figure 5 acceptance sweep
-    both drive this entry point.
+    mismatch.  CI's check-smoke and ingest-smoke jobs and the Figure 5
+    acceptance sweep drive this entry point.
     """
-    import argparse
-
     from repro.tlb.factory import DESIGN_MNEMONICS
     from repro.workloads import iter_workload_names
 
@@ -562,7 +383,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--checks",
-        default=",".join(CHECKS),
+        type=_parse_checks,
+        default=CHECKS,
         help=f"comma-separated subset of {','.join(CHECKS)} (default: all)",
     )
     parser.add_argument(
@@ -593,7 +415,7 @@ def main(argv=None) -> int:
     add_trace_args(parser)
     args = parser.parse_args(argv)
 
-    checks = tuple(c for c in args.checks.split(",") if c)
+    checks = args.checks
     if args.trace is not None:
         # The ingested-workload leg: run the same redundant-path checks
         # over an external trace (functional is skipped automatically —

@@ -8,10 +8,8 @@ declarative mechanism spec — then runs it twice:
    validates per-cycle engine invariants and replays every skipped
    mechanism tick against the ``quiescent_until`` contract;
 2. through the differential harness (:func:`repro.check.diff.
-   run_differential`), comparing event-driven vs. plain loops, the
-   compiled trace kernel vs. the interpreted machine (under both
-   loops), cached vs. uncached artifacts, and timing vs. functional
-   state.
+   run_differential`), comparing event-driven vs. plain loops, cached
+   vs. uncached artifacts, and timing vs. functional state.
 
 Designs round-robin over the requested mnemonics (all 13 Table 2
 designs by default, so 20 iterations touch every one) and the issue

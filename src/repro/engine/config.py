@@ -105,28 +105,6 @@ class MachineConfig:
     # exists for A/B verification and the equivalence property test.
     event_driven: bool = True
 
-    # Trace-specialized compiled kernel: replay the dynamic trace through
-    # repro.kernel.KernelMachine's structure-of-arrays loop instead of
-    # the interpreted engine.  Results are bit-identical (the kernel is
-    # a port of the same timing rules over flat arrays; see
-    # ``python -m repro.check.diff --checks kernel``), only host
-    # throughput changes.  Ignored when ``sanity`` is set — the checker
-    # hooks the interpreted machine's internals, so sanity runs fall
-    # back to it.
-    kernel: bool = False
-
-    # Batch-vectorized kernel replay: like ``kernel`` but through
-    # repro.kernel.batch.BatchKernelMachine, which additionally hoists
-    # all address geometry (VPN, cache block/set, bank index,
-    # pretranslation tag) to encode time and steps each cycle's ready
-    # wavefront through bulk gather/step/scatter phases.  Bit-identical
-    # (``python -m repro.check.diff --checks kernel-batch``).  Only the
-    # ooo issue model has a batch backend — in-order runs fall back to
-    # KernelMachine — and ``sanity`` falls back to the interpreted
-    # machine, as for ``kernel``.  Takes precedence over ``kernel``
-    # when both are set.
-    kernel_batch: bool = False
-
     # Simulation sanitizer: attach a repro.check.invariants.SanityChecker
     # to the run, validating per-cycle engine invariants and replaying
     # every event-driven skip against the mechanism's quiescent_until

@@ -96,17 +96,13 @@ class FetchPlan:
     front end would retry it cycles later.
     """
 
-    __slots__ = ("events", "icache_stats", "kernel_events")
+    __slots__ = ("events", "icache_stats")
 
     def __init__(self, events: list, icache_stats):
         self.events = events
         #: Final I-cache counters (:class:`~repro.caches.cache.CacheStats`)
         #: — identical for every run that replays this plan.
         self.icache_stats = icache_stats
-        #: Lazily-built flat event arrays for the compiled kernel's
-        #: fetch replay (see :func:`repro.kernel.machine._plan_arrays`);
-        #: cached here so runs sharing the plan convert it once.
-        self.kernel_events = None
 
 
 def build_fetch_plan(

@@ -8,9 +8,8 @@ variable, the empty string, and the words ``0``/``false``/``no``/``off``
 *on*.
 
 This exists because the obvious ``bool(os.environ.get(NAME))`` treats
-``REPRO_KERNEL=0`` as *enabled* (any non-empty string is truthy), which
-inverts the user's intent; see ``EvalOptions.from_args`` for the
-flag > environment > default precedence rule built on top of this.
+``REPRO_NO_NUMPY=0`` as *enabled* (any non-empty string is truthy),
+which inverts the user's intent.
 """
 
 from __future__ import annotations

@@ -48,7 +48,6 @@ from repro.eval.resultstore import code_fingerprint
 from repro.func.dyninst import DynInst
 from repro.func.tracefile import (
     SECTION_EXTERN,
-    SECTION_KERNEL,
     SECTION_PLAN,
     SECTION_PROFILE,
     SECTION_PROGRAM,
@@ -64,11 +63,6 @@ from repro.func.tracefile import (
     write_container,
 )
 from repro.isa.program import Program
-from repro.kernel.encode import (
-    EncodedTrace,
-    decode_kernel_section,
-    encode_kernel_section,
-)
 
 #: Build axes: (workload, int_regs, fp_regs, scale, max_instructions).
 BuildAxes = tuple
@@ -195,48 +189,6 @@ class ArtifactStore:
             },
         )
 
-    # -- kernel artifacts -----------------------------------------------------
-
-    def load_kernel(self, axes: BuildAxes, trace_len: int) -> "EncodedTrace | None":
-        """Hydrate the encoded kernel arrays for ``axes``, or None on a miss.
-
-        The ``KERN`` section rides in the build container (the encoding
-        is design-independent, a pure function of the trace), so a build
-        saved before the kernel existed simply misses here and the
-        caller re-encodes.  A count mismatch against ``trace_len`` also
-        reads as a miss — it means the section belongs to a different
-        trace truncation than the one in hand.
-        """
-        path = self.build_path(axes)
-        try:
-            sections = read_container(path)
-            encoded = decode_kernel_section(sections[SECTION_KERNEL])
-        except (OSError, KeyError, TraceFileError):
-            self.stats.misses += 1
-            return None
-        if encoded.n != trace_len:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return encoded
-
-    def save_kernel(self, axes: BuildAxes, encoded: EncodedTrace) -> "Path | None":
-        """Merge the encoded kernel arrays into the build container.
-
-        Reads the existing container (to preserve its program/trace —
-        and any sections this build doesn't know about), sets ``KERN``,
-        and rewrites atomically.  If no build container exists yet there
-        is nothing to attach to; returns None and the caller's in-memory
-        encoding is simply not persisted.
-        """
-        path = self.build_path(axes)
-        try:
-            sections = read_container(path)
-        except (OSError, TraceFileError):
-            return None
-        sections[SECTION_KERNEL] = encode_kernel_section(encoded)
-        return self._write(path, sections)
-
     # -- analysis-profile artifacts -------------------------------------------
 
     def load_profile(
@@ -244,11 +196,11 @@ class ArtifactStore:
     ) -> "AnalysisProfile | None":
         """Hydrate the analysis profile for ``axes``, or None on a miss.
 
-        Mirrors the ``KERN`` contract: the ``PROF`` section rides in the
-        build container (a profile is a pure function of the trace plus
-        ``params``), and a corrupt section, wrong payload version, or
-        ``params`` mismatch all read as clean misses — the caller
-        re-profiles and :meth:`save_profile` overwrites the section.
+        The ``PROF`` section rides in the build container (a profile is
+        a pure function of the trace plus ``params``).  A missing or
+        corrupt section, a wrong payload version, or a ``params``
+        mismatch all read as clean misses — the caller re-profiles and
+        :meth:`save_profile` overwrites the section.
         """
         path = self.build_path(axes)
         try:
@@ -266,8 +218,9 @@ class ArtifactStore:
     def save_profile(self, axes: BuildAxes, profile: AnalysisProfile) -> "Path | None":
         """Merge the analysis profile into the build container.
 
-        Preserves every other section and rewrites atomically, exactly
-        like :meth:`save_kernel`; returns None when no build container
+        Reads the existing container, sets ``PROF`` while carrying every
+        other section forward (including tags this build does not know),
+        and rewrites atomically; returns None when no build container
         exists yet (nothing to attach to).
         """
         path = self.build_path(axes)

@@ -25,8 +25,6 @@ import os
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
-from repro.env import env_bool
-
 #: Environment variable naming the default evaluation-server address.
 SERVER_ENV = "REPRO_SERVE_ADDR"
 
@@ -68,14 +66,6 @@ class EvalOptions:
     profiler: Any = None
     #: Address of a running ``python -m repro.serve`` daemon, or None.
     server: "str | None" = None
-    #: Run every request through the compiled trace kernel
-    #: (``MachineConfig.kernel``); results are bit-identical, only host
-    #: throughput changes.
-    kernel: bool = False
-    #: Run every request through the batch-vectorized kernel backend
-    #: (``MachineConfig.kernel_batch``); bit-identical, ooo-only (the
-    #: in-order model falls back to the base kernel).
-    kernel_batch: bool = False
 
     def replace(self, **changes) -> "EvalOptions":
         """A copy with ``changes`` applied (dataclasses.replace)."""
@@ -112,26 +102,10 @@ class EvalOptions:
 
             artifacts = ArtifactStore(args.artifacts or None)
 
-        # Flag > environment > default — and the environment side goes
-        # through env_bool, so REPRO_KERNEL=0/false/no/off disables (a
-        # bare truthiness test would read any non-empty value, including
-        # "0", as enabled).
-        kernel = bool(getattr(args, "kernel", False)) or env_bool("REPRO_KERNEL")
-        kernel_batch = bool(getattr(args, "kernel_batch", False)) or env_bool(
-            "REPRO_KERNEL_BATCH"
-        )
-
         if server is not None:
             # A thin client leaves caching to the daemon.
             store = artifacts = None
-        return cls(
-            jobs=jobs,
-            store=store,
-            artifacts=artifacts,
-            server=server,
-            kernel=kernel,
-            kernel_batch=kernel_batch,
-        )
+        return cls(jobs=jobs, store=store, artifacts=artifacts, server=server)
 
 
 def add_eval_args(
@@ -180,21 +154,6 @@ def add_eval_args(
             "workers hydrate instead of rebuilding (no DIR: "
             "$REPRO_ARTIFACT_STORE or ~/.cache/repro/artifacts)",
         )
-    parser.add_argument(
-        "--kernel",
-        action="store_true",
-        default=False,
-        help="replay through the compiled trace kernel (bit-identical "
-        "results, faster host loop; also $REPRO_KERNEL=1)",
-    )
-    parser.add_argument(
-        "--kernel-batch",
-        action="store_true",
-        default=False,
-        help="replay through the batch-vectorized kernel backend "
-        "(bit-identical results; ooo only, in-order falls back to the "
-        "base kernel; also $REPRO_KERNEL_BATCH=1)",
-    )
     if server:
         parser.add_argument(
             "--server",

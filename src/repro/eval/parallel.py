@@ -34,7 +34,6 @@ while remaining safe across concurrent invocations (writes are atomic).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import warnings
@@ -260,17 +259,6 @@ def run_many(
         parallel, one task per build) and workers hydrate traces and
         fetch plans from it instead of re-running the functional
         simulator.
-    ``options.kernel``
-        Fold ``kernel=True`` into every request's config pairs, so the
-        whole batch replays through the compiled trace kernel
-        (:mod:`repro.kernel`).  Stats are bit-identical to the
-        interpreted machine; only host throughput changes.  Applied
-        before store lookup and remote submission, so cached and remote
-        runs key on the kernel flag like any other config override.
-    ``options.kernel_batch``
-        Same, for the batch-vectorized backend
-        (``MachineConfig.kernel_batch``; ooo only, in-order requests
-        fall back to the base kernel inside the runner).
     ``options.server``
         Address of a running ``python -m repro.serve`` daemon.  The
         batch is submitted over the socket instead of simulated here;
@@ -282,27 +270,6 @@ def run_many(
     """
     opts = _resolve_options(options, jobs, store, progress, profiler, artifacts)
     reqs = list(requests)
-    if opts.kernel:
-        # Fold the kernel switch into each request's config pairs before
-        # anything keys on the request: store lookups, dedup, and remote
-        # submission all see ``kernel=True`` (result stats are identical
-        # either way, but host-side metrics are not, so the cache keys
-        # must differ).
-        reqs = [
-            dataclasses.replace(
-                r, config=tuple({**dict(r.config), "kernel": True}.items())
-            )
-            for r in reqs
-        ]
-    if opts.kernel_batch:
-        # Same folding for the batch backend: keyed like any other
-        # config override before caching, dedup and remote submission.
-        reqs = [
-            dataclasses.replace(
-                r, config=tuple({**dict(r.config), "kernel_batch": True}.items())
-            )
-            for r in reqs
-        ]
     if opts.server is not None:
         if opts.profiler is not None:
             raise ValueError("a profiler cannot cross the --server boundary")

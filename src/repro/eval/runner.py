@@ -34,13 +34,6 @@ from repro.engine.machine import Machine
 from repro.engine.stats import MachineStats
 from repro.func.executor import capture_trace
 from repro.ingest.build import compile_workload, is_trace_workload, parse_workload
-from repro.kernel import (
-    BatchKernelMachine,
-    KernelMachine,
-    encode_trace_arrays,
-    ensure_geometry,
-    geometry_params,
-)
 from repro.tlb.base import TranslationMechanism
 from repro.tlb.factory import make_mechanism, make_mechanism_from_spec
 from repro.tlb.stats import TranslationStats
@@ -55,6 +48,14 @@ def _normalize_pairs(value) -> tuple[tuple[str, Any], ...]:
     """Canonicalize a mapping / iterable of pairs to sorted tuples."""
     items = value.items() if isinstance(value, Mapping) else value
     return tuple(sorted((str(k), v) for k, v in items))
+
+
+#: Names a request's ``config`` pairs may override: every MachineConfig
+#: field except the two the request carries as fields of its own.
+_CONFIG_NAMES = frozenset(f.name for f in fields(MachineConfig)) - {
+    "issue_model",
+    "page_size",
+}
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,11 @@ class RunRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "config", _normalize_pairs(self.config))
+        unknown = [name for name, _ in self.config if name not in _CONFIG_NAMES]
+        if unknown:
+            # Fail where the request is built (client, CLI, journal
+            # replay), not later in a worker's MachineConfig call.
+            raise ValueError(f"unknown MachineConfig override(s): {unknown}")
         if self.mechanism is not None:
             name, kwargs = self.mechanism
             object.__setattr__(
@@ -254,11 +260,9 @@ class _BuildCache:
     max_builds: int = 8
     max_traces: int = 4
     max_plans: int = 4
-    max_kernels: int = 4
     builds: OrderedDict = field(default_factory=OrderedDict)
     traces: OrderedDict = field(default_factory=OrderedDict)
     plans: OrderedDict = field(default_factory=OrderedDict)
-    kernels: OrderedDict = field(default_factory=OrderedDict)
     #: Synthesized programs of ingested external traces, keyed on the
     #: full trace axes.  Separate from ``builds``: an ingested program
     #: depends on the windowed record subset (so its key includes
@@ -378,49 +382,6 @@ class _BuildCache:
             return program
         return self._get_ingested(key)[0]
 
-    def get_kernel(self, req: "RunRequest", trace: list, geom_params=None):
-        """Encoded kernel-replay arrays, shared across designs.
-
-        The encoding is a pure function of the trace (producer links are
-        timing-invariant), so like the trace itself it is built once per
-        workload and replayed under every design.  Misses hydrate the
-        build container's ``KERN`` section when an artifact store is
-        attached; fresh encodings are merged back into it.
-
-        ``geom_params`` (a :func:`repro.kernel.geometry_params` triple)
-        asks for the batch backend's address-geometry arrays to be
-        attached before the encoding is persisted, so the serialized
-        ``KERN`` section carries them; geometry cached under different
-        parameters is a clean miss recomputed in place.
-        """
-        axes = (
-            req.workload,
-            req.int_regs,
-            req.fp_regs,
-            req.scale,
-            req.max_instructions,
-        )
-        encoded = self.kernels.get(axes)
-        if encoded is not None:
-            self.kernels.move_to_end(axes)
-            if geom_params is not None:
-                ensure_geometry(encoded, geom_params)
-            return encoded
-        if self.artifacts is not None:
-            encoded = self.artifacts.load_kernel(axes, len(trace))
-            if encoded is not None and geom_params is not None:
-                ensure_geometry(encoded, geom_params)
-        if encoded is None:
-            encoded = encode_trace_arrays(trace)
-            if geom_params is not None:
-                ensure_geometry(encoded, geom_params)
-            if self.artifacts is not None:
-                self.artifacts.save_kernel(axes, encoded)
-        self.kernels[axes] = encoded
-        while len(self.kernels) > self.max_kernels:
-            self.kernels.popitem(last=False)
-        return encoded
-
     def get_fetch_plan(
         self, req: "RunRequest", config: MachineConfig, trace: list
     ) -> FetchPlan:
@@ -465,7 +426,6 @@ def clear_build_cache() -> None:
     _CACHE.builds.clear()
     _CACHE.traces.clear()
     _CACHE.plans.clear()
-    _CACHE.kernels.clear()
     _CACHE.ingested.clear()
 
 
@@ -504,36 +464,9 @@ def simulate(
     config = req.machine_config()
     mech = mechanism if mechanism is not None else req.make_mech(config.page_shift)
     plan = _CACHE.get_fetch_plan(req, config, trace)
-    batch = config.kernel_batch and config.issue_model == "ooo"
-    if (config.kernel or config.kernel_batch) and not config.sanity:
-        # kernel_batch on the in-order model falls back to the base
-        # kernel (only ooo has a batch backend); geometry is attached
-        # before the encoding persists so the KERN artifact carries it.
-        geom = geometry_params(config) if batch else None
-        if profiler is not None:
-            from time import perf_counter_ns
-
-            start = perf_counter_ns()
-            encoded = _CACHE.get_kernel(req, trace, geom_params=geom)
-            profiler.add_phase_ns("kernel_encode", perf_counter_ns() - start)
-        else:
-            encoded = _CACHE.get_kernel(req, trace, geom_params=geom)
-        machine_cls = BatchKernelMachine if batch else KernelMachine
-        machine = machine_cls(
-            config,
-            mech,
-            trace,
-            encoded=encoded,
-            name=req.name,
-            profiler=profiler,
-            fetch_plan=plan,
-        )
-    else:
-        # The sanitizer hooks the interpreted machine's internals, so
-        # sanity runs always take the interpreted path.
-        machine = Machine(
-            config, mech, trace, name=req.name, profiler=profiler, fetch_plan=plan
-        )
+    machine = Machine(
+        config, mech, trace, name=req.name, profiler=profiler, fetch_plan=plan
+    )
     sim = machine.run()
     import repro
 

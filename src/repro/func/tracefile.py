@@ -56,8 +56,6 @@ _TRACE_HEAD = struct.Struct("<QQ")
 SECTION_PROGRAM = b"PROG"
 SECTION_TRACE = b"TRCE"
 SECTION_PLAN = b"PLAN"
-#: Encoded kernel-replay arrays (see :mod:`repro.kernel.encode`).
-SECTION_KERNEL = b"KERN"
 #: Per-workload analysis profile (see :mod:`repro.analysis.profile`).
 SECTION_PROFILE = b"PROF"
 #: Provenance of an ingested external trace (see :mod:`repro.ingest`):
@@ -80,7 +78,6 @@ KNOWN_SECTIONS = frozenset(
         SECTION_PROGRAM,
         SECTION_TRACE,
         SECTION_PLAN,
-        SECTION_KERNEL,
         SECTION_PROFILE,
         SECTION_EXTERN,
     )

@@ -56,9 +56,7 @@ class SimProfiler:
         """Bill ``ns`` wall nanoseconds to phase ``name`` directly.
 
         For loops that time a phase inline (accumulating into a local)
-        instead of paying a :meth:`wrap` closure call per iteration —
-        the kernel replay loop uses this for its commit/issue/dispatch
-        phases and for the one-off trace-encoding pass.
+        instead of paying a :meth:`wrap` closure call per iteration.
         """
         self.phase_ns[name] = self.phase_ns.get(name, 0) + ns
         self.phase_calls[name] = self.phase_calls.get(name, 0) + calls

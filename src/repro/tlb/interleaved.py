@@ -57,7 +57,6 @@ class InterleavedTLB(TranslationMechanism):
             self.select = xor_fold(banks)
         else:
             raise ValueError(f"unknown bank selection: {select!r}")
-        self.select_name = select
         self.banks = banks
         self.piggyback_per_bank = piggyback_per_bank
         bank_entries = entries // banks
@@ -70,14 +69,8 @@ class InterleavedTLB(TranslationMechanism):
         self.bank_conflicts = 0
 
     def request(self, req: TranslationRequest) -> TranslationResult | None:
-        return self.request_banked(req, self.select(req.vpn))
-
-    def request_banked(
-        self, req: TranslationRequest, bank: int
-    ) -> TranslationResult | None:
-        """:meth:`request` for callers that precomputed the bank index."""
         self.stats.requests += 1
-        self._arbiters[bank].submit(req.cycle, req.seq, req)
+        self._arbiters[self.select(req.vpn)].submit(req.cycle, req.seq, req)
         return None
 
     def tick(self, now: int) -> list[TranslationResult]:

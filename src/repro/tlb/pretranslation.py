@@ -155,13 +155,8 @@ class PretranslationMechanism(TranslationMechanism):
                     self.pcache.insert((dst, tag[1]), vpn)
 
     def request(self, req: TranslationRequest) -> TranslationResult | None:
-        return self.request_tagged(req, self.tag_of(req))
-
-    def request_tagged(
-        self, req: TranslationRequest, tag: tuple[int, int] | None
-    ) -> TranslationResult | None:
-        """:meth:`request` for callers that precomputed :meth:`tag_of`."""
         self.stats.requests += 1
+        tag = self.tag_of(req)
         if tag is not None:
             attached = self.pcache.lookup(tag)
             if attached == req.vpn:

@@ -1,8 +1,11 @@
 """Tests for the on-disk artifact cache and request-level scheduling."""
 
+import struct
+
 import pytest
 
-from repro.engine.frontend import build_fetch_plan, fetch_config_key
+from repro.analysis.profile import ProfileParams, build_profile, encode_profile_section
+from repro.engine.frontend import build_fetch_plan, encode_fetch_plan, fetch_config_key
 from repro.eval.artifacts import ArtifactStore
 from repro.eval.options import EvalOptions
 from repro.eval.parallel import _build_key, _schedule_chunks, run_many
@@ -13,6 +16,16 @@ from repro.eval.runner import (
     simulate,
 )
 from repro.func.executor import capture_trace
+from repro.func.tracefile import (
+    SECTION_PLAN,
+    SECTION_PROFILE,
+    SECTION_PROGRAM,
+    SECTION_TRACE,
+    encode_program,
+    encode_trace,
+    read_container,
+    write_container,
+)
 from repro.workloads import make_workload
 
 FAST = dict(max_instructions=2_000)
@@ -79,8 +92,8 @@ class TestArtifactStore:
 
 
 class TestProfileArtifacts:
-    """The PROF section follows the KERN contract: ride in the build
-    container, clean miss on corruption or parameter mismatch."""
+    """The PROF section rides in the build container and reads as a
+    clean miss on corruption or parameter mismatch."""
 
     pytest.importorskip("numpy")
 
@@ -124,6 +137,66 @@ class TestProfileArtifacts:
         path = store.build_path(AXES)
         path.write_bytes(b"garbage" + path.read_bytes()[:32])
         assert store.load_profile(AXES, params) is None
+
+
+class TestLegacyKernelSection:
+    """Build containers written while a ``KERN`` (encoded replay arrays)
+    section existed stay readable: the tag is now an unknown section,
+    retained on rewrite and ignored on hydration."""
+
+    KERN = b"KERN"
+    #: Header of the retired encoding (magic, version, count) + arrays.
+    PAYLOAD = struct.pack("<4sHxxQ", b"KTR\x01", 2, 2_000) + bytes(64)
+
+    def _legacy_store(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        build, trace = _fresh_build_and_trace()
+        config = RunRequest("espresso", "T4", **FAST).machine_config()
+        fkey = fetch_config_key(config)
+        plan = build_fetch_plan(trace, config)
+        profile = build_profile(trace, AXES[0])
+        build_path = store.build_path(AXES)
+        build_path.parent.mkdir(parents=True, exist_ok=True)
+        write_container(
+            build_path,
+            {
+                SECTION_PROGRAM: encode_program(build.program),
+                SECTION_TRACE: encode_trace(trace, len(build.program)),
+                self.KERN: self.PAYLOAD,
+                SECTION_PROFILE: encode_profile_section(profile),
+            },
+        )
+        plan_path = store.plan_path(AXES, fkey)
+        plan_path.parent.mkdir(parents=True, exist_ok=True)
+        write_container(
+            plan_path, {SECTION_PLAN: encode_fetch_plan(plan, len(trace))}
+        )
+        return store, build, trace, plan, profile, fkey
+
+    def test_hydrates_every_known_section(self, tmp_path):
+        store, build, trace, plan, profile, fkey = self._legacy_store(tmp_path)
+        program, hydrated = store.load_build(AXES)
+        assert len(program) == len(build.program)
+        assert [(d.seq, d.pc, d.ea) for d in hydrated] == [
+            (d.seq, d.pc, d.ea) for d in trace
+        ]
+        loaded_plan = store.load_plan(AXES, fkey, hydrated)
+        assert len(loaded_plan.events) == len(plan.events)
+        assert loaded_plan.icache_stats == plan.icache_stats
+        hydrated_profile = store.load_profile(AXES, ProfileParams())
+        assert hydrated_profile.to_payload() == profile.to_payload()
+        assert store.stats.misses == 0
+
+    def test_rewrites_keep_the_container_readable(self, tmp_path):
+        store, _, trace, plan, profile, fkey = self._legacy_store(tmp_path)
+        assert store.save_profile(AXES, profile) is not None
+        store.save_plan(AXES, fkey, plan)
+        assert read_container(store.build_path(AXES))[self.KERN] == self.PAYLOAD
+        _, hydrated = store.load_build(AXES)
+        assert len(hydrated) == len(trace)
+        assert store.load_plan(AXES, fkey, hydrated) is not None
+        hydrated_profile = store.load_profile(AXES, ProfileParams())
+        assert hydrated_profile.to_payload() == profile.to_payload()
 
 
 class TestBuildCacheHydration:

@@ -7,6 +7,7 @@ import pytest
 from repro.check.diff import (
     CHECKS,
     Mismatch,
+    main,
     request_with_config,
     run_differential,
 )
@@ -40,7 +41,7 @@ class TestCleanPoint:
         assert report.ok
         assert report.checks == CHECKS
         assert not report.mismatches
-        assert "5 checks ok" in report.render()
+        assert "3 checks ok" in report.render()
 
 
 class TestLoopDivergence:
@@ -52,12 +53,7 @@ class TestLoopDivergence:
             return orig(self, now) + 3
 
         monkeypatch.setattr(Machine, "_next_event", skewed)
-        # The kernel check is excluded: the kernel has its own cycle
-        # loop, so it would (correctly) also flag the skewed machine.
-        report = run_differential(
-            RunRequest.create("compress", "T1", **FAST),
-            checks=("loops", "artifacts", "functional"),
-        )
+        report = run_differential(RunRequest.create("compress", "T1", **FAST))
         loops = [m for m in report.mismatches if m.check == "loops"]
         assert loops, report.render()
         mismatch = loops[0]
@@ -107,3 +103,15 @@ class TestRendering:
         assert Mismatch("functional", "regs diverge").render() == (
             "[functional] regs diverge"
         )
+
+
+class TestCli:
+    @pytest.mark.parametrize("name", ["kernel", "kernel-batch", "bogus"])
+    def test_unknown_check_fails_at_parse_time(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main(["--checks", f"loops,{name}", "--workloads", "compress"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"unknown check(s) {name}" in err
+        assert "loops,artifacts,functional" in err

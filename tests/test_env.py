@@ -1,18 +1,15 @@
 """Regression tests for environment-flag truthiness (repro.env.env_bool).
 
-Historically ``$REPRO_KERNEL``/``$REPRO_KERNEL_BATCH`` were read with a
-bare ``os.environ.get(...)`` truthiness test, so ``REPRO_KERNEL=0`` (any
-non-empty value) silently *enabled* the kernel.  ``env_bool`` fixes the
-word list; these tests pin the semantics and the flag > env > default
-precedence in :meth:`repro.eval.options.EvalOptions.from_args`.
+Boolean ``$REPRO_*`` switches were once read with a bare
+``os.environ.get(...)`` truthiness test, so setting one to ``0`` (any
+non-empty value) silently *enabled* it.  ``env_bool`` fixes the word
+list; these tests pin its semantics and its one reader,
+``$REPRO_NO_NUMPY``.
 """
-
-import argparse
 
 import pytest
 
 from repro.env import env_bool
-from repro.eval.options import EvalOptions
 
 
 class TestEnvBool:
@@ -35,53 +32,13 @@ class TestEnvBool:
         assert env_bool("REPRO_TEST_FLAG", default=True) is True
 
 
-def _args(**overrides):
-    ns = argparse.Namespace(kernel=False, kernel_batch=False, no_cache=True)
-    for key, value in overrides.items():
-        setattr(ns, key, value)
-    return ns
-
-
-class TestKernelFlagPrecedence:
-    @pytest.fixture(autouse=True)
-    def _clean_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        monkeypatch.delenv("REPRO_KERNEL_BATCH", raising=False)
-
-    def test_default_is_off(self):
-        opts = EvalOptions.from_args(_args())
-        assert opts.kernel is False and opts.kernel_batch is False
-
-    @pytest.mark.parametrize("value", ["0", "false", "no", "off", ""])
-    def test_false_env_words_do_not_enable(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_KERNEL", value)
-        monkeypatch.setenv("REPRO_KERNEL_BATCH", value)
-        opts = EvalOptions.from_args(_args())
-        assert opts.kernel is False and opts.kernel_batch is False
-
-    @pytest.mark.parametrize("value", ["1", "true", "yes"])
-    def test_true_env_words_enable(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_KERNEL", value)
-        opts = EvalOptions.from_args(_args())
-        assert opts.kernel is True and opts.kernel_batch is False
-
-    def test_explicit_flag_beats_disabling_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "0")
-        assert EvalOptions.from_args(_args(kernel=True)).kernel is True
-
-    def test_kernel_batch_env_is_independent(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BATCH", "1")
-        opts = EvalOptions.from_args(_args())
-        assert opts.kernel is False and opts.kernel_batch is True
-
-
 class TestNumpyOptOut:
     def test_no_numpy_false_words_keep_numpy(self, monkeypatch):
-        from repro.kernel import encode
+        from repro.analysis import reusedist
 
         monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
-        baseline = encode._numpy()
+        baseline = reusedist._numpy()
         monkeypatch.setenv("REPRO_NO_NUMPY", "0")
-        assert encode._numpy() is baseline
+        assert reusedist._numpy() is baseline
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        assert encode._numpy() is None
+        assert reusedist._numpy() is None

@@ -380,16 +380,6 @@ class TestEngineIntegration:
             token, design, max_instructions=self.BUDGET, **config
         )
 
-    def test_serial_kernel_batch_bit_identical(self, trace_file):
-        token = trace_workload(
-            trace_file, WindowSpec(window=500, count=4, select="random", seed=5)
-        )
-        base = _stats(simulate(self.request(token)))
-        kern = _stats(simulate(self.request(token, kernel=True)))
-        batch = _stats(simulate(self.request(token, kernel_batch=True)))
-        assert base == kern == batch
-        assert base["committed"] == self.BUDGET
-
     def test_cached_path_bit_identical(self, trace_file, tmp_path):
         token = trace_workload(trace_file, WindowSpec(window=500, count=4))
         store = ArtifactStore(tmp_path / "art", fingerprint="test")
@@ -405,6 +395,7 @@ class TestEngineIntegration:
             configure_artifacts(previous)
             clear_build_cache()
         assert fresh == first == hydrated
+        assert fresh["committed"] == self.BUDGET
         assert store.stats.hits >= 1
 
     def test_parallel_jobs_bit_identical(self, trace_file):
@@ -478,7 +469,7 @@ class TestDifferentialHarness:
         assert report.ok, report.render()
         # functional is auto-skipped: no functional executor behind a trace
         assert "functional" not in report.checks
-        assert {"loops", "artifacts", "kernel", "kernel-batch"} <= set(report.checks)
+        assert {"loops", "artifacts"} <= set(report.checks)
 
 
 class TestIngestCli:

@@ -1,111 +1,40 @@
-"""Tests for the compiled trace kernel (:mod:`repro.kernel`).
+"""Tests for the simulation kernel: the one cycle engine behind the runner.
 
-Three layers are pinned here:
+:func:`repro.eval.runner.simulate` always runs the interpreted
+:class:`repro.engine.machine.Machine`, fed from the build cache with a
+shared prebuilt fetch plan.  These tests pin that path against the same
+engine built directly on the trace with a live front end (no plan), so
+every simulated number the runner reports is the interpreter's:
 
-* the **encoder/codec** — ``decode_kernel_section(encode_kernel_section
-  (e)) == e`` losslessly for every workload's trace, the numpy and
-  pure-stdlib encoders produce identical arrays, and truncated/corrupt
-  payloads raise :class:`~repro.func.tracefile.TraceFileError`;
-* the **replay machine** — bit-identical MachineStats to the
-  interpreted engine over a workload × design × issue-model spot
-  matrix (the full Figure 5 grid runs via ``python -m repro.check.diff
-  --checks kernel``);
-* the **integration seams** — the ``MachineConfig.kernel`` switch in
-  :func:`repro.eval.runner.simulate`, its sanity fallback, and the
-  ``KERN`` section round trip through the artifact store.
+* the runner matches the interpreter, bit for bit, over a
+  workload × design × issue-model spot matrix, under both the
+  event-driven and the plain cycle loop;
+* a ``sanity=True`` run, which attaches the checker hooks to the
+  interpreter, reports the same statistics as an unchecked run.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.engine.config import MachineConfig
-from repro.eval.artifacts import ArtifactStore
+from repro.engine.machine import Machine
 from repro.eval.runner import RunRequest, _CACHE, simulate
-from repro.func.tracefile import TraceFileError
-from repro.kernel import (
-    EncodedTrace,
-    KernelMachine,
-    decode_kernel_section,
-    encode_kernel_section,
-    encode_trace_arrays,
-)
-from repro.kernel.encode import _encode_python, _numpy
-from repro.workloads import iter_workload_names
 
 FAST = dict(max_instructions=1500)
-
-
-def _trace(workload: str, max_instructions: int = 1500):
-    return _CACHE.get_trace(workload, 32, 32, 1.0, max_instructions)
 
 
 def _stats(req: RunRequest) -> dict:
     return dataclasses.asdict(simulate(req).stats)
 
 
-class TestCodec:
-    @pytest.mark.parametrize("workload", sorted(iter_workload_names()))
-    def test_round_trip_lossless_per_workload(self, workload):
-        encoded = encode_trace_arrays(_trace(workload))
-        again = decode_kernel_section(encode_kernel_section(encoded))
-        assert again == encoded
-        assert again.n == encoded.n == len(_trace(workload))
-
-    def test_empty_trace_round_trips(self):
-        encoded = encode_trace_arrays([])
-        assert encoded.n == 0
-        assert decode_kernel_section(encode_kernel_section(encoded)) == encoded
-
-    def test_truncated_payload_rejected(self):
-        payload = encode_kernel_section(encode_trace_arrays(_trace("compress")))
-        with pytest.raises(TraceFileError, match="truncated|bytes"):
-            decode_kernel_section(payload[: len(payload) // 2])
-
-    def test_truncated_header_rejected(self):
-        with pytest.raises(TraceFileError, match="truncated kernel section"):
-            decode_kernel_section(b"\x00\x01")
-
-    def test_bad_magic_rejected(self):
-        payload = encode_kernel_section(encode_trace_arrays(_trace("compress")))
-        with pytest.raises(TraceFileError, match="magic"):
-            decode_kernel_section(b"XXXX" + payload[4:])
-
-    def test_wrong_version_rejected(self):
-        payload = bytearray(
-            encode_kernel_section(encode_trace_arrays(_trace("compress")))
-        )
-        payload[4] = 0xEE  # version field (little-endian u16 at offset 4)
-        with pytest.raises(TraceFileError, match="version"):
-            decode_kernel_section(bytes(payload))
-
-    def test_count_mismatch_rejected(self):
-        encoded = encode_trace_arrays(_trace("compress"))
-        payload = encode_kernel_section(encoded)
-        # Append one spurious int64: the length check must trip.
-        with pytest.raises(TraceFileError, match="bytes"):
-            decode_kernel_section(payload + b"\x00" * 8)
-
-
-class TestEncoderEquivalence:
-    @pytest.mark.parametrize("workload", ["compress", "xlisp", "gcc"])
-    def test_numpy_and_stdlib_encoders_agree(self, workload, monkeypatch):
-        np = _numpy()
-        if np is None:
-            pytest.skip("numpy unavailable")
-        trace = _trace(workload)
-        vectorized = encode_trace_arrays(trace)
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        sequential = encode_trace_arrays(trace)
-        assert vectorized == sequential
-
-    def test_no_numpy_env_forces_stdlib(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        assert _numpy() is None
-
-    def test_stdlib_encoder_is_the_reference(self):
-        trace = _trace("compress")
-        assert encode_trace_arrays(trace) == _encode_python(trace)
+def _interpreted(req: RunRequest) -> dict:
+    """Stats of ``req`` from a directly built Machine with a live front end."""
+    trace = _CACHE.get_trace(
+        req.workload, req.int_regs, req.fp_regs, req.scale, req.max_instructions
+    )
+    config = req.machine_config()
+    machine = Machine(config, req.make_mech(config.page_shift), trace)
+    return dataclasses.asdict(machine.run().stats)
 
 
 class TestBitIdentity:
@@ -113,84 +42,19 @@ class TestBitIdentity:
     @pytest.mark.parametrize("design", ["T4", "T1", "M8", "I4", "PB1"])
     @pytest.mark.parametrize("issue_model", ["ooo", "inorder"])
     def test_kernel_matches_interpreter(self, workload, design, issue_model):
-        options = dict(issue_model=issue_model, **FAST)
-        interp = RunRequest.create(workload, design, kernel=False, **options)
-        kern = RunRequest.create(workload, design, kernel=True, **options)
-        assert _stats(kern) == _stats(interp)
+        req = RunRequest.create(workload, design, issue_model=issue_model, **FAST)
+        assert _stats(req) == _interpreted(req)
 
     def test_kernel_matches_under_plain_loop(self):
-        interp = RunRequest.create(
-            "compress", "T1", kernel=False, event_driven=False, **FAST
-        )
-        kern = RunRequest.create(
-            "compress", "T1", kernel=True, event_driven=False, **FAST
-        )
-        assert _stats(kern) == _stats(interp)
-
-    def test_kernel_machine_accepts_prebuilt_encoding(self):
-        trace = _trace("compress")
-        config = MachineConfig(kernel=True)
-        req = RunRequest.create("compress", "T1", **FAST)
-        encoded = encode_trace_arrays(trace)
-        result = KernelMachine(
-            config, req.make_mech(config.page_shift), trace, encoded=encoded
-        ).run()
-        again = KernelMachine(
-            config, req.make_mech(config.page_shift), trace
-        ).run()
-        assert result.stats == again.stats
+        plain = RunRequest.create("compress", "T1", event_driven=False, **FAST)
+        event = RunRequest.create("compress", "T1", **FAST)
+        assert _stats(plain) == _interpreted(plain) == _stats(event)
 
 
 class TestRunnerIntegration:
     def test_sanity_falls_back_to_interpreter(self):
-        # kernel+sanity must run (the sanity hooks live in the
-        # interpreted machine) and still produce identical stats.
+        # The sanity hooks live in the interpreted machine; attaching them
+        # must not change any simulated statistic.
         plain = RunRequest.create("compress", "T4", **FAST)
-        checked = RunRequest.create(
-            "compress", "T4", kernel=True, sanity=True, **FAST
-        )
+        checked = RunRequest.create("compress", "T4", sanity=True, **FAST)
         assert _stats(checked) == _stats(plain)
-
-    def test_kernel_config_default_off(self):
-        assert MachineConfig().kernel is False
-
-
-class TestArtifactRoundTrip:
-    AXES = ("compress", 32, 32, 1.0, 1500)
-
-    def _store(self, tmp_path):
-        return ArtifactStore(tmp_path, fingerprint="test")
-
-    def test_save_load_round_trip(self, tmp_path):
-        store = self._store(tmp_path)
-        build = _CACHE.get("compress", 32, 32, 1.0)
-        trace = _trace("compress")
-        store.save_build(self.AXES, build.program, trace)
-        encoded = encode_trace_arrays(trace)
-        assert store.save_kernel(self.AXES, encoded) is not None
-        loaded = store.load_kernel(self.AXES, len(trace))
-        assert loaded == encoded
-        # The program/trace sections survived the merge rewrite.
-        assert store.load_build(self.AXES) is not None
-
-    def test_count_mismatch_reads_as_miss(self, tmp_path):
-        store = self._store(tmp_path)
-        build = _CACHE.get("compress", 32, 32, 1.0)
-        trace = _trace("compress")
-        store.save_build(self.AXES, build.program, trace)
-        store.save_kernel(self.AXES, encode_trace_arrays(trace))
-        misses = store.stats.misses
-        assert store.load_kernel(self.AXES, len(trace) + 7) is None
-        assert store.stats.misses == misses + 1
-
-    def test_save_without_build_container_is_a_noop(self, tmp_path):
-        store = self._store(tmp_path)
-        encoded = encode_trace_arrays(_trace("compress"))
-        assert store.save_kernel(self.AXES, encoded) is None
-
-    def test_load_before_save_misses(self, tmp_path):
-        store = self._store(tmp_path)
-        build = _CACHE.get("compress", 32, 32, 1.0)
-        trace = _trace("compress")
-        store.save_build(self.AXES, build.program, trace)
-        assert store.load_kernel(self.AXES, len(trace)) is None

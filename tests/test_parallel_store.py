@@ -28,10 +28,38 @@ class TestRunRequest:
         assert req.machine_config().tlb_miss_latency == 60
 
     def test_config_is_canonicalized(self):
-        a = RunRequest("espresso", "T4", config={"b": 1, "a": 2})
-        b = RunRequest("espresso", "T4", config=[("a", 2), ("b", 1)])
+        a = RunRequest(
+            "espresso", "T4", config={"sanity": True, "tlb_miss_latency": 2}
+        )
+        b = RunRequest(
+            "espresso", "T4", config=[("tlb_miss_latency", 2), ("sanity", True)]
+        )
         assert a == b
         assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize("name", ["kernel", "kernal"])
+    def test_unknown_config_name_rejected_at_build(self, name):
+        with pytest.raises(ValueError, match=name):
+            RunRequest.create("compress", "T4", **{name: True})
+        with pytest.raises(ValueError, match=name):
+            RunRequest("compress", "T4", config={name: True})
+
+    def test_request_fields_are_not_config_overrides(self):
+        # issue_model/page_size are request fields; as config pairs they
+        # would collide with them in machine_config().
+        with pytest.raises(ValueError, match="page_size"):
+            RunRequest("compress", "T4", config={"page_size": 8192})
+
+    def test_unknown_config_name_rejected_from_dict(self):
+        d = RunRequest.create("compress", "T4", **FAST).to_dict()
+        d["config"] = [["kernel", True]]
+        with pytest.raises(ValueError, match="kernel"):
+            RunRequest.from_dict(d)
+
+    def test_replace_revalidates(self):
+        base = RunRequest.create("compress", "T4", **FAST)
+        with pytest.raises(ValueError, match="kernel"):
+            dataclasses.replace(base, config={"kernel": True})
 
     def test_round_trip(self):
         req = RunRequest.create(

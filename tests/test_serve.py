@@ -10,6 +10,7 @@ bit-identity of served results against the local engine.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import signal
 import subprocess
@@ -107,6 +108,16 @@ class TestJobJournal:
         journal.compact(journal.replay())
         assert len(journal.path.read_text().splitlines()) == 1
         assert [r.key() for r in journal.replay()] == [b.key()]
+
+    def test_unknown_config_name_is_dropped(self, tmp_path):
+        journal = JobJournal(tmp_path / "journal.jsonl")
+        stale = _req("T1").to_dict()
+        stale["config"] = [["kernel", True]]
+        with open(journal.path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"event": "queued", "key": "k", "request": stale}))
+            fh.write("\n")
+        journal.record_queued(_req("T4"))
+        assert [r.key() for r in journal.replay()] == [_req("T4").key()]
 
     def test_missing_file_replays_empty(self, tmp_path):
         assert JobJournal(tmp_path / "absent.jsonl").replay() == []
@@ -410,6 +421,33 @@ class TestEvalServer:
 
         results = asyncio.run(main())
         assert results[0].request == _req("T4")
+
+    def test_unknown_config_name_rejected_before_scheduling(self, tmp_path):
+        stale = _req("T1").to_dict()
+        stale["config"] = [["kernel", True]]
+
+        async def main():
+            addr = f"unix:{tmp_path}/s.sock"
+            server = build_server(addr, EvalOptions(jobs=1, store=None))
+            await server.start()
+            try:
+                client = await ServeClient.connect(addr, retry_for=5)
+                await protocol.write_message(
+                    client._writer, client._lock,
+                    op="submit", id="stale", requests=[_req("T4").to_dict(), stale],
+                )
+                reply = await asyncio.wait_for(client._replies.get(), 30)
+                await client.close()
+            finally:
+                await server.stop()
+            return reply, server.scheduler.stats
+
+        reply, stats = asyncio.run(main())
+        assert reply["op"] == "error" and reply["id"] == "stale"
+        assert reply["message"].startswith("bad batch:")
+        assert "kernel" in reply["message"]
+        # The whole batch was refused: nothing scheduled, nothing run.
+        assert stats.submitted == 0 and stats.simulated == 0
 
 
 def _spawn_daemon(addr: str, store: Path, artifacts: Path, jobs: int = 2):
