@@ -3,6 +3,7 @@
 from conftest import archive, bench_designs, bench_insts, bench_jobs, bench_workloads
 
 from repro.eval.experiments import run_figure
+from repro.eval.options import EvalOptions
 from repro.eval.report import render_figure
 from repro.tlb.factory import DESIGN_MNEMONICS
 
@@ -14,7 +15,7 @@ def test_figure9(benchmark):
             designs=bench_designs() or DESIGN_MNEMONICS,
             workloads=bench_workloads(),
             max_instructions=bench_insts(),
-            jobs=bench_jobs(),
+            options=EvalOptions(jobs=bench_jobs()),
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -1,7 +1,7 @@
 """Parallel-scheduling scaling benchmark -> BENCH_parallel.json.
 
 Times the issue's target shape — ONE workload replayed under all
-thirteen Table 2 designs — serial/inline versus ``run_many(jobs=N)``
+thirteen Table 2 designs — serial/inline versus ``run_many(grid, EvalOptions(jobs=N))``
 with a cold and a warm shared artifact cache
 (:mod:`repro.eval.artifacts`).  Before request-level scheduling this
 grid collapsed to a single workload group and ``jobs`` was ignored;

@@ -3,6 +3,7 @@
 from conftest import archive, bench_insts, bench_jobs, bench_workloads
 
 from repro.eval.experiments import run_table3
+from repro.eval.options import EvalOptions
 from repro.eval.report import render_table3
 
 
@@ -11,7 +12,7 @@ def test_table3(benchmark):
         return run_table3(
             workloads=bench_workloads(),
             max_instructions=bench_insts(),
-            jobs=bench_jobs(),
+            options=EvalOptions(jobs=bench_jobs()),
         )
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -42,7 +42,6 @@ fresh simulations.
 from repro.eval.experiments import (
     ExperimentSpec,
     EXPERIMENTS,
-    run_experiment,
     run_figure,
     run_table3,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "code_fingerprint",
     "default_server_address",
     "normalized_rtw_average",
-    "run_experiment",
     "run_figure",
     "run_figure6",
     "run_many",

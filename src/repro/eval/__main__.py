@@ -32,6 +32,7 @@ local run).  The shared engine flags live in
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -119,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
         # Figure 6 is trace-driven: the engine knobs do not apply.
         opts = EvalOptions()
     else:
-        opts = EvalOptions.from_args(args).replace(progress=progress)
+        opts = dataclasses.replace(EvalOptions.from_args(args), progress=progress)
     if args.profile:
         if args.experiment in ("figure6", "scorecard"):
             print(f"[--profile is not supported for {args.experiment}; ignoring]",
@@ -129,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             from repro.perf import SimProfiler
 
-            opts = opts.replace(profiler=SimProfiler())
+            opts = dataclasses.replace(opts, profiler=SimProfiler())
 
     started = time.time()
     if args.screen:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.eval.experiments import FigureResult, run_figure
+from repro.eval.options import EvalOptions
 
 
 @dataclass
@@ -155,23 +156,14 @@ class ScorecardResult:
 def run_scorecard(
     max_instructions: int = 20_000,
     workloads=None,
-    progress=None,
-    jobs: int = 1,
-    store=None,
-    artifacts=None,
-    options=None,
+    options: EvalOptions | None = None,
 ) -> ScorecardResult:
     """Run the three figure grids and evaluate every claim.
 
-    ``options`` (an :class:`~repro.eval.options.EvalOptions`) wins over
-    the individual engine knobs when given.
+    Every grid runs under ``options`` (an
+    :class:`~repro.eval.options.EvalOptions`), as in
+    :func:`repro.eval.experiments.run_figure`.
     """
-    if options is None:
-        from repro.eval.options import EvalOptions
-
-        options = EvalOptions(
-            jobs=jobs, store=store, progress=progress, artifacts=artifacts
-        )
     grid = dict(
         workloads=workloads,
         max_instructions=max_instructions,

@@ -8,8 +8,8 @@ average IPC normalized to T4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Iterable
 
 from repro.eval.options import EvalOptions
 from repro.eval.parallel import run_many
@@ -91,21 +91,15 @@ def run_figure(
     workloads: Iterable[str] | None = None,
     max_instructions: int = 60_000,
     scale: float = 1.0,
-    progress: Callable[[str], None] | None = None,
-    jobs: int = 1,
-    store=None,
-    profiler=None,
-    artifacts=None,
-    options: "EvalOptions | None" = None,
+    options: EvalOptions | None = None,
 ) -> FigureResult:
     """Run one relative-performance figure's full design x workload grid.
 
     ``T4`` is always included (it is the normalization reference).  The
-    grid is evaluated through :func:`repro.eval.parallel.run_many`,
-    configured either by an :class:`~repro.eval.options.EvalOptions`
-    (``options`` — which wins outright when given, and may point the
-    grid at a running evaluation server) or by the individual
-    ``jobs``/``store``/``profiler``/``artifacts`` knobs.
+    grid is evaluated through :func:`repro.eval.parallel.run_many`
+    under ``options`` (an :class:`~repro.eval.options.EvalOptions`:
+    workers, stores, progress, profiler, or a running evaluation
+    server; ``None`` runs inline without stores).
     """
     spec = EXPERIMENTS[key]
     design_list = list(dict.fromkeys(["T4", *designs]))
@@ -115,11 +109,6 @@ def run_figure(
         for workload in workload_list
         for design in design_list
     ]
-    if options is None:
-        options = EvalOptions(
-            jobs=jobs, store=store, progress=progress,
-            profiler=profiler, artifacts=artifacts,
-        )
     grid = run_many(requests, options)
     results: dict[str, dict[str, RunResult]] = {d: {} for d in design_list}
     for req, res in zip(requests, grid):
@@ -156,20 +145,16 @@ def run_table3(
     workloads: Iterable[str] | None = None,
     max_instructions: int = 60_000,
     scale: float = 1.0,
-    jobs: int = 1,
-    store=None,
-    profiler=None,
-    artifacts=None,
-    options: "EvalOptions | None" = None,
+    options: EvalOptions | None = None,
 ) -> list[Table3Row]:
-    """Baseline (OOO, T4) per-program execution statistics."""
+    """Baseline (OOO, T4) per-program execution statistics.
+
+    The runs go through :func:`repro.eval.parallel.run_many` under
+    ``options``, as in :func:`run_figure`.
+    """
     spec = EXPERIMENTS["figure5"]
     names = list(workloads) if workloads is not None else list(iter_workload_names())
     requests = [spec.request(w, "T4", max_instructions, scale) for w in names]
-    if options is None:
-        options = EvalOptions(
-            jobs=jobs, store=store, profiler=profiler, artifacts=artifacts
-        )
     rows = []
     for res in run_many(requests, options):
         s = res.stats
@@ -187,22 +172,3 @@ def run_table3(
         )
     return rows
 
-
-def run_experiment(key: str, **kwargs):
-    """Dispatch an experiment by name (CLI entry point helper)."""
-    if key == "table3":
-        return run_table3(**kwargs)
-    if key == "figure6":
-        from repro.eval.missrates import run_figure6
-
-        # Figure 6 is trace-driven (no timing runs): nothing to shard
-        # or memoize, so the engine knobs do not apply.
-        kwargs.pop("jobs", None)
-        kwargs.pop("store", None)
-        kwargs.pop("artifacts", None)
-        kwargs.pop("options", None)
-        return run_figure6(**kwargs)
-    if key in EXPERIMENTS:
-        return run_figure(key, **kwargs)
-    known = ["table3", "figure6", *EXPERIMENTS]
-    raise ValueError(f"unknown experiment {key!r}; known: {known}")

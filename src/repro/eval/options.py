@@ -9,9 +9,9 @@ server.  This module defines them exactly once:
 * :func:`add_eval_args` installs the shared argparse flags
   (``--jobs``, ``--no-cache``, ``--store``, ``--artifacts``,
   ``--server``) on any parser;
-* :class:`EvalOptions` is the resolved parameter object — the argument
-  :func:`repro.eval.parallel.run_many` and the experiment drivers
-  accept in place of the old keyword sprawl;
+* :class:`EvalOptions` is the resolved parameter object — the one way
+  :func:`repro.eval.parallel.run_many`, the experiment drivers and the
+  ablation sweeps take their engine settings;
 * :meth:`EvalOptions.from_args` performs the resolution, with one
   precedence rule for every consumer: **explicit flag > environment
   variable > built-in default** (``$REPRO_RESULT_STORE`` /
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import argparse
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable
 
 #: Environment variable naming the default evaluation-server address.
@@ -43,8 +43,8 @@ class EvalOptions:
     """Resolved evaluation knobs, shared by every grid-running API.
 
     Pass one of these to :func:`repro.eval.parallel.run_many` (or any
-    experiment driver) instead of separate ``jobs=``/``store=``/
-    ``artifacts=``/``progress=``/``profiler=`` keywords:
+    experiment driver, the scorecard or an ablation sweep) as
+    ``options``:
 
     >>> run_many(grid, EvalOptions(jobs=4, store=ResultStore()))
 
@@ -66,10 +66,6 @@ class EvalOptions:
     profiler: Any = None
     #: Address of a running ``python -m repro.serve`` daemon, or None.
     server: "str | None" = None
-
-    def replace(self, **changes) -> "EvalOptions":
-        """A copy with ``changes`` applied (dataclasses.replace)."""
-        return replace(self, **changes)
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "EvalOptions":

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Iterable
 
@@ -181,57 +180,13 @@ class _ProgressGuard:
         return results
 
 
-_UNSET = object()
-
-
-def _resolve_options(options, jobs, store, progress, profiler, artifacts) -> EvalOptions:
-    """Merge the ``options`` object with the deprecated keyword aliases."""
-    legacy = {
-        name: value
-        for name, value in (
-            ("jobs", jobs),
-            ("store", store),
-            ("progress", progress),
-            ("profiler", profiler),
-            ("artifacts", artifacts),
-        )
-        if value is not _UNSET
-    }
-    if isinstance(options, int):
-        # Legacy positional call: run_many(requests, 4).
-        legacy.setdefault("jobs", options)
-        options = None
-    if legacy:
-        if options is not None:
-            raise TypeError(
-                "run_many() got both an EvalOptions object and legacy "
-                f"keyword(s) {sorted(legacy)}; pass everything via options"
-            )
-        warnings.warn(
-            "run_many(jobs=/store=/progress=/profiler=/artifacts=) is "
-            "deprecated; pass run_many(requests, EvalOptions(...)) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return EvalOptions(**legacy)
-    return options if options is not None else EvalOptions()
-
-
 def run_many(
-    requests: Iterable[RunRequest],
-    options: EvalOptions | None = None,
-    *,
-    jobs=_UNSET,
-    store=_UNSET,
-    progress=_UNSET,
-    profiler=_UNSET,
-    artifacts=_UNSET,
+    requests: Iterable[RunRequest], options: EvalOptions | None = None
 ) -> list[RunResult]:
     """Run a batch of requests, parallel and memoized; results in order.
 
     All knobs travel in one :class:`~repro.eval.options.EvalOptions`
-    parameter object (the individual keywords remain as deprecated
-    aliases for one release):
+    parameter object (``None`` means the defaults: inline, no stores):
 
     ``options.jobs``
         Worker processes.  ``<= 1`` runs inline in this process (still
@@ -268,23 +223,29 @@ def run_many(
         the daemon's, and a ``profiler`` is rejected — host timings
         cannot cross the service boundary).
     """
-    opts = _resolve_options(options, jobs, store, progress, profiler, artifacts)
+    if options is None:
+        options = EvalOptions()
+    elif not isinstance(options, EvalOptions):
+        raise TypeError(
+            "run_many() options must be an EvalOptions, not "
+            f"{type(options).__name__}; use run_many(requests, EvalOptions(jobs=N))"
+        )
     reqs = list(requests)
-    if opts.server is not None:
-        if opts.profiler is not None:
+    if options.server is not None:
+        if options.profiler is not None:
             raise ValueError("a profiler cannot cross the --server boundary")
         from repro.serve.client import run_remote
 
-        return run_remote(reqs, opts.server, progress=opts.progress)
+        return run_remote(reqs, options.server, progress=options.progress)
 
-    jobs = opts.jobs
-    store = opts.store
-    profiler = opts.profiler
-    progress = _ProgressGuard(opts.progress)
+    jobs = options.jobs
+    store = options.store
+    profiler = options.profiler
+    progress = _ProgressGuard(options.progress)
     results: list[RunResult | None] = [None] * len(reqs)
     if profiler is not None:
         jobs = 1
-    art = opts.artifacts
+    art = options.artifacts
     if art is not None and not hasattr(art, "load_build"):
         from repro.eval.artifacts import ArtifactStore
 

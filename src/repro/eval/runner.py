@@ -35,7 +35,12 @@ from repro.engine.stats import MachineStats
 from repro.func.executor import capture_trace
 from repro.ingest.build import compile_workload, is_trace_workload, parse_workload
 from repro.tlb.base import TranslationMechanism
-from repro.tlb.factory import make_mechanism, make_mechanism_from_spec
+from repro.tlb.factory import (
+    design_builder,
+    make_mechanism,
+    make_mechanism_from_spec,
+    mechanism_class,
+)
 from repro.tlb.stats import TranslationStats
 from repro.workloads import make_workload
 from repro.workloads.base import WorkloadBuild
@@ -87,17 +92,21 @@ class RunRequest:
     mechanism: tuple[str, tuple[tuple[str, Any], ...]] | None = None
 
     def __post_init__(self):
+        # Fail where the request is built (client, CLI, journal replay),
+        # not later in a worker: unknown config names, designs and
+        # mechanism classes all raise ValueError here.
         object.__setattr__(self, "config", _normalize_pairs(self.config))
         unknown = [name for name, _ in self.config if name not in _CONFIG_NAMES]
         if unknown:
-            # Fail where the request is built (client, CLI, journal
-            # replay), not later in a worker's MachineConfig call.
             raise ValueError(f"unknown MachineConfig override(s): {unknown}")
         if self.mechanism is not None:
             name, kwargs = self.mechanism
             object.__setattr__(
                 self, "mechanism", (str(name), _normalize_pairs(kwargs))
             )
+            mechanism_class(self.mechanism[0])
+        else:
+            design_builder(self.design)
 
     @classmethod
     def create(cls, workload: str, design: str, *, mechanism=None, **options):
@@ -445,16 +454,11 @@ def configure_artifacts(store) -> Any:
     return previous
 
 
-def simulate(
-    req: RunRequest,
-    mechanism: TranslationMechanism | None = None,
-    profiler=None,
-) -> RunResult:
+def simulate(req: RunRequest, profiler=None) -> RunResult:
     """Execute one timing run unconditionally (no result store).
 
-    ``mechanism`` lets a caller supply a pre-built mechanism instance
-    (the legacy callable-variant path of the ablation sweeps); such runs
-    are still returned as RunResults but cannot be content-addressed.
+    The mechanism is the one ``req`` names (design mnemonic or
+    declarative spec), so every run is content-addressable.
     ``profiler`` (a :class:`repro.perf.SimProfiler`) collects host-side
     phase timings without affecting the simulated outcome.
     """
@@ -462,7 +466,7 @@ def simulate(
         req.workload, req.int_regs, req.fp_regs, req.scale, req.max_instructions
     )
     config = req.machine_config()
-    mech = mechanism if mechanism is not None else req.make_mech(config.page_shift)
+    mech = req.make_mech(config.page_shift)
     plan = _CACHE.get_fetch_plan(req, config, trace)
     machine = Machine(
         config, mech, trace, name=req.name, profiler=profiler, fetch_plan=plan

@@ -12,6 +12,11 @@ but answer questions its design sections raise:
 * how sensitive are the conclusions to the 30-cycle miss latency?
 * what does pretranslation add over the BAC/THB designs it extends?
 * what would instruction-side translation have cost (§1's scoping)?
+
+A sweep is a list of labelled variants, each a design mnemonic or a
+declarative ``(class name, kwargs)`` mechanism spec, so every point is
+an ordinary :class:`~repro.eval.runner.RunRequest`: content-addressed,
+cached in the result store and parallel under ``options``.
 """
 
 from __future__ import annotations
@@ -19,23 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
-from repro.engine.config import MachineConfig
+from repro.eval.options import EvalOptions
 from repro.eval.parallel import run_many
-from repro.eval.runner import RunRequest, RunResult, simulate
+from repro.eval.runner import RunRequest, RunResult
 from repro.eval.weighting import rtw_average
-from repro.tlb.base import TranslationMechanism
 from repro.workloads import iter_workload_names
 
 #: A variant pairs a label with a mechanism description: a factory
-#: mnemonic ("M8"), a declarative (class name, kwargs) spec — both
-#: serializable, so such sweeps parallelize and memoize through
-#: run_many — or a legacy ``page_shift -> mechanism`` callable, which
-#: still works but runs in-process and uncached.
-MechDescription = Union[
-    str,
-    tuple[str, dict],
-    Callable[[int], TranslationMechanism],
-]
+#: mnemonic ("M8") or a declarative (class name, kwargs) spec.  Both
+#: become RunRequests, so every sweep parallelizes and memoizes through
+#: run_many.
+MechDescription = Union[str, tuple[str, dict]]
 Variant = tuple[str, MechDescription]
 
 
@@ -65,34 +64,27 @@ def run_variants(
     max_instructions: int = 20_000,
     config_overrides: dict | None = None,
     per_variant_config: dict[str, dict] | None = None,
-    jobs: int = 1,
-    store=None,
-    artifacts=None,
-    options=None,
+    options: EvalOptions | None = None,
 ) -> SweepResult:
     """Run each variant over the workloads; normalize to the first.
 
-    Declaratively-described variants go through
-    :func:`repro.eval.parallel.run_many` (``jobs`` workers, optional
-    result ``store``); legacy callable factories run inline.
+    Every variant becomes one :class:`~repro.eval.runner.RunRequest`
+    per workload, and the whole sweep runs through
+    :func:`repro.eval.parallel.run_many` under ``options`` (an
+    :class:`~repro.eval.options.EvalOptions`).  Labels key the results,
+    so they must be unique.
     """
+    labels = [label for label, _ in variants]
+    duplicates = sorted({label for label in labels if labels.count(label) > 1})
+    if duplicates:
+        raise ValueError(f"duplicate variant label(s): {duplicates}")
     names = list(workloads) if workloads is not None else list(iter_workload_names())
-    results: dict[str, dict[str, RunResult]] = {label: {} for label, _ in variants}
+    results: dict[str, dict[str, RunResult]] = {label: {} for label in labels}
     requests: list[RunRequest] = []
     owners: list[tuple[str, str]] = []
     for label, described in variants:
         overrides = dict(config_overrides or {})
         overrides.update((per_variant_config or {}).get(label, {}))
-        if callable(described):
-            for workload in names:
-                page_shift = MachineConfig(**overrides).page_shift
-                req = RunRequest.create(
-                    workload, label, max_instructions=max_instructions, **overrides
-                )
-                results[label][workload] = simulate(
-                    req, mechanism=described(page_shift)
-                )
-            continue
         mechanism = None if isinstance(described, str) else described
         design = described if isinstance(described, str) else label
         for workload in names:
@@ -106,10 +98,6 @@ def run_variants(
                 )
             )
             owners.append((label, workload))
-    if options is None:
-        from repro.eval.options import EvalOptions
-
-        options = EvalOptions(jobs=jobs, store=store, artifacts=artifacts)
     for (label, workload), res in zip(owners, run_many(requests, options)):
         results[label][workload] = res
     reference_label = variants[0][0]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import signal
 import sys
 
@@ -68,7 +69,7 @@ async def amain(args: argparse.Namespace) -> int:
         # Long-running daemons always want the build cache warm.
         from repro.eval.artifacts import ArtifactStore
 
-        opts = opts.replace(artifacts=ArtifactStore(None))
+        opts = dataclasses.replace(opts, artifacts=ArtifactStore(None))
     if args.trace is not None:
         # Pre-warm an ingested workload: mint its token (validating the
         # file and hashing its content), compile the default-budget

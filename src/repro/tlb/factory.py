@@ -63,13 +63,21 @@ DESIGN_MNEMONICS: tuple[str, ...] = (
 )
 
 
-def make_mechanism(mnemonic: str, page_shift: int = 12) -> TranslationMechanism:
-    """Instantiate a Table 2 design (or ``PERFECT``) by mnemonic."""
-    builder = _BUILDERS.get(mnemonic.upper())
+def design_builder(mnemonic: str) -> Callable[[int], TranslationMechanism]:
+    """The ``page_shift -> mechanism`` builder of a design mnemonic.
+
+    Raises ValueError for a name :func:`make_mechanism` does not accept.
+    """
+    builder = _BUILDERS.get(str(mnemonic).upper())
     if builder is None:
         known = ", ".join(sorted(_BUILDERS))
         raise ValueError(f"unknown design {mnemonic!r}; known designs: {known}")
-    return builder(page_shift)
+    return builder
+
+
+def make_mechanism(mnemonic: str, page_shift: int = 12) -> TranslationMechanism:
+    """Instantiate a Table 2 design (or ``PERFECT``) by mnemonic."""
+    return design_builder(mnemonic)(page_shift)
 
 
 #: Classes reachable from declarative mechanism specs (see below).
@@ -98,8 +106,13 @@ def make_mechanism_from_spec(spec, page_shift: int = 12) -> TranslationMechanism
     hashed, pickled to worker processes, and memoized on disk.
     """
     name, kwargs = spec
+    return mechanism_class(name)(page_shift=page_shift, **dict(kwargs))
+
+
+def mechanism_class(name: str) -> type[TranslationMechanism]:
+    """The class a declarative spec names; ValueError if unknown."""
     cls = MECHANISM_CLASSES.get(name)
     if cls is None:
         known = ", ".join(sorted(MECHANISM_CLASSES))
         raise ValueError(f"unknown mechanism class {name!r}; known: {known}")
-    return cls(page_shift=page_shift, **dict(kwargs))
+    return cls

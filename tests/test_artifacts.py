@@ -95,8 +95,6 @@ class TestProfileArtifacts:
     """The PROF section rides in the build container and reads as a
     clean miss on corruption or parameter mismatch."""
 
-    pytest.importorskip("numpy")
-
     def _store_with_profile(self, tmp_path):
         from dataclasses import replace
 

@@ -4,7 +4,7 @@ miss rates, reporting).
 
 import pytest
 
-from repro.eval.experiments import EXPERIMENTS, run_experiment, run_figure, run_table3
+from repro.eval.experiments import EXPERIMENTS, run_figure, run_table3
 from repro.eval.missrates import SIZES, policy_for, run_figure6
 from repro.eval.report import render_figure, render_figure6, render_table3
 from repro.eval.runner import RunRequest, clear_build_cache, run_one
@@ -92,12 +92,6 @@ class TestExperiments:
             assert row.instructions > 0
             assert 0 <= row.branch_prediction_rate <= 1
             assert row.loads > 0
-
-    def test_run_experiment_dispatch(self):
-        rows = run_experiment("table3", workloads=["espresso"], **FAST)
-        assert rows[0].program == "espresso"
-        with pytest.raises(ValueError):
-            run_experiment("figure99")
 
 
 class TestMissRates:

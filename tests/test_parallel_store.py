@@ -81,9 +81,24 @@ class TestRunRequest:
         assert type(mech).__name__ == "MultiLevelTLB"
 
     def test_unknown_mechanism_class_rejected(self):
-        req = RunRequest("xlisp", "custom", mechanism=("NoSuchTLB", {}))
-        with pytest.raises(ValueError):
-            req.make_mech(12)
+        with pytest.raises(ValueError, match="NoSuchTLB"):
+            RunRequest("xlisp", "custom", mechanism=("NoSuchTLB", {}))
+        with pytest.raises(ValueError, match="NoSuchTLB"):
+            RunRequest.from_dict(
+                {"workload": "xlisp", "design": "custom", "mechanism": ["NoSuchTLB", []]}
+            )
+
+    def test_unknown_design_rejected(self):
+        with pytest.raises(ValueError, match="NOPE"):
+            RunRequest("espresso", "NOPE")
+        with pytest.raises(ValueError, match="NOPE"):
+            RunRequest.create("espresso", "NOPE", **FAST)
+        with pytest.raises(ValueError, match="NOPE"):
+            dataclasses.replace(RunRequest("espresso", "T4"), design="NOPE")
+        # The factory's own lookup decides: case-insensitive mnemonics
+        # pass, and a mechanism spec frees the design to be a label.
+        assert RunRequest("espresso", "m8").design == "m8"
+        assert RunRequest("espresso", "NOPE", mechanism=("PerfectTLB", {}))
 
     def test_key_sensitive_to_every_field(self):
         base = RunRequest(workload="espresso", design="T4")

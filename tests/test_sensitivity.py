@@ -100,15 +100,30 @@ class TestSweepShapes:
 
 class TestRunVariants:
     def test_custom_variant_set(self):
-        from repro.tlb.factory import make_mechanism
-
-        result = run_variants(
-            "custom",
-            [
-                ("a", lambda ps: make_mechanism("T4", ps)),
-                ("b", lambda ps: make_mechanism("T1", ps)),
-            ],
-            **FAST,
-        )
+        result = run_variants("custom", [("a", "T4"), ("b", "T1")], **FAST)
         assert set(result.relative) == {"a", "b"}
         assert result.relative["b"] <= 1.0
+
+    def test_duplicate_labels_rejected_before_simulating(self, monkeypatch):
+        import repro.eval.sensitivity as sensitivity
+
+        def never(*args, **kwargs):
+            raise AssertionError("simulated despite duplicate labels")
+
+        monkeypatch.setattr(sensitivity, "run_many", never)
+        with pytest.raises(ValueError, match="'a'"):
+            run_variants("dup", [("a", "T4"), ("a", "T1")], **FAST)
+
+    def test_options_are_the_only_engine_settings(self, tmp_path):
+        from repro.eval.options import EvalOptions
+        from repro.eval.resultstore import ResultStore
+
+        store = ResultStore(tmp_path)
+        variants = [("a", "T4"), ("b", ("MultiPortedTLB", {"ports": 1}))]
+        first = run_variants("opts", variants, options=EvalOptions(store=store), **FAST)
+        assert store.stats.puts == 2 * len(FAST["workloads"])
+        again = run_variants("opts", variants, options=EvalOptions(store=store), **FAST)
+        assert again.relative == first.relative
+        assert store.stats.hits == 2 * len(FAST["workloads"])
+        with pytest.raises(TypeError):
+            run_variants("opts", variants, jobs=2, **FAST)

@@ -231,28 +231,14 @@ class TestEvalOptions:
         )
         assert opts.store is None and opts.artifacts is None
 
-    def test_replace(self):
-        opts = EvalOptions(jobs=2)
-        assert opts.replace(jobs=4).jobs == 4 and opts.jobs == 2
-
 
 # -- run_many API redesign ----------------------------------------------------
 
 
 class TestRunManyOptions:
-    def test_legacy_keywords_warn_but_work(self):
-        with pytest.warns(DeprecationWarning):
-            results = run_many([_req("T4")], jobs=1)
-        assert results[0].to_dict() == run_one(_req("T4")).to_dict()
-
-    def test_legacy_positional_jobs_warns(self):
-        with pytest.warns(DeprecationWarning):
-            results = run_many([_req("T4")], 1)
-        assert len(results) == 1
-
-    def test_options_and_legacy_keywords_conflict(self):
-        with pytest.raises(TypeError):
-            run_many([_req("T4")], EvalOptions(jobs=1), jobs=2)
+    def test_non_options_argument_rejected(self):
+        with pytest.raises(TypeError, match="EvalOptions"):
+            run_many([_req("T4")], 1)
 
     def test_profiler_cannot_cross_server(self):
         with pytest.raises(ValueError):
@@ -422,9 +408,9 @@ class TestEvalServer:
         results = asyncio.run(main())
         assert results[0].request == _req("T4")
 
-    def test_unknown_config_name_rejected_before_scheduling(self, tmp_path):
-        stale = _req("T1").to_dict()
-        stale["config"] = [["kernel", True]]
+    @staticmethod
+    def _submit_raw(tmp_path, batch_id: str, requests: list[dict]):
+        """Submit raw request dicts; return the first reply and stats."""
 
         async def main():
             addr = f"unix:{tmp_path}/s.sock"
@@ -434,7 +420,7 @@ class TestEvalServer:
                 client = await ServeClient.connect(addr, retry_for=5)
                 await protocol.write_message(
                     client._writer, client._lock,
-                    op="submit", id="stale", requests=[_req("T4").to_dict(), stale],
+                    op="submit", id=batch_id, requests=requests,
                 )
                 reply = await asyncio.wait_for(client._replies.get(), 30)
                 await client.close()
@@ -442,11 +428,29 @@ class TestEvalServer:
                 await server.stop()
             return reply, server.scheduler.stats
 
-        reply, stats = asyncio.run(main())
+        return asyncio.run(main())
+
+    def test_unknown_config_name_rejected_before_scheduling(self, tmp_path):
+        stale = _req("T1").to_dict()
+        stale["config"] = [["kernel", True]]
+        reply, stats = self._submit_raw(tmp_path, "stale", [_req("T4").to_dict(), stale])
         assert reply["op"] == "error" and reply["id"] == "stale"
         assert reply["message"].startswith("bad batch:")
         assert "kernel" in reply["message"]
         # The whole batch was refused: nothing scheduled, nothing run.
+        assert stats.submitted == 0 and stats.simulated == 0
+
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [("design", "NOPE", "NOPE"), ("mechanism", ["NoSuchTLB", []], "NoSuchTLB")],
+    )
+    def test_unknown_design_rejected_before_scheduling(self, tmp_path, field, value, name):
+        bad = _req("T1").to_dict()
+        bad[field] = value
+        reply, stats = self._submit_raw(tmp_path, "bad", [_req("T4").to_dict(), bad])
+        assert reply["op"] == "error" and reply["id"] == "bad"
+        assert reply["message"].startswith("bad batch:")
+        assert name in reply["message"]
         assert stats.submitted == 0 and stats.simulated == 0
 
 
