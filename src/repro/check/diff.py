@@ -42,6 +42,7 @@ from repro.eval.runner import RunRequest, _CACHE, simulate
 from repro.func.executor import run_program
 from repro.func.tracefile import decode_program, encode_program
 from repro.ingest.build import is_trace_workload
+from repro.workloads import make_workload
 
 #: The redundant paths one differential run exercises.
 CHECKS = ("loops", "artifacts", "functional")
@@ -188,13 +189,7 @@ def _record_fields(dyn) -> tuple:
 def _check_artifacts(req: RunRequest, mismatches: list[Mismatch]) -> None:
     """The cached (hydrated-from-disk) path must equal the uncached one."""
     axes = (req.workload, req.int_regs, req.fp_regs, req.scale, req.max_instructions)
-    if is_trace_workload(req.workload):
-        # Ingested workloads have no WorkloadBuild; their synthesized
-        # program lives in the build cache's ingested map.  The codec
-        # round trip under test is the same either way.
-        program = _CACHE.get_ingested_program(*axes)
-    else:
-        program = _CACHE.get(req.workload, req.int_regs, req.fp_regs, req.scale).program
+    program = _CACHE.get_program(*axes)
     trace = _CACHE.get_trace(*axes)
     config = dataclasses.replace(req.machine_config(), sanity=False)
     fetch_key = fetch_config_key(config)
@@ -259,7 +254,10 @@ def _check_artifacts(req: RunRequest, mismatches: list[Mismatch]) -> None:
 def _check_functional(req: RunRequest, timing, mismatches: list[Mismatch]) -> None:
     """Functional state must survive the program codec; timing counters
     must agree with the functional trace's population."""
-    build = _CACHE.get(req.workload, req.int_regs, req.fp_regs, req.scale)
+    # The build cache keeps no memory images, so build one here.
+    build = make_workload(req.workload).build(
+        int_regs=req.int_regs, fp_regs=req.fp_regs, scale=req.scale
+    )
     trace = _CACHE.get_trace(
         req.workload, req.int_regs, req.fp_regs, req.scale, req.max_instructions
     )
@@ -268,7 +266,7 @@ def _check_functional(req: RunRequest, timing, mismatches: list[Mismatch]) -> No
         build.program, build.memory.clone(), max_instructions=req.max_instructions
     )
     replayed = run_program(
-        program2, build.memory.clone(), max_instructions=req.max_instructions
+        program2, build.memory, max_instructions=req.max_instructions
     )
     if original.regs != replayed.regs:
         diffs = [

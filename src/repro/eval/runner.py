@@ -13,9 +13,11 @@ plus the request that produced them and provenance, round-trippable
 through ``to_dict``/``from_dict``.
 
 Workload programs and their dynamic traces depend only on (workload,
-register budget, scale[, budget]) — not on the translation design — so
-they are cached per process in a small LRU (:class:`_BuildCache`) and
-replayed under every design.
+register budget, scale, budget), and fetch plans on those plus the
+front-end configuration — not on the translation design — so all three
+are cached per process in a small LRU (:class:`_BuildCache`) and
+replayed under every design.  A workload's memory image is built,
+captured once and dropped: replay never reads it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from repro.tlb.factory import (
 )
 from repro.tlb.stats import TranslationStats
 from repro.workloads import make_workload
-from repro.workloads.base import WorkloadBuild
 
 #: Bumped whenever the RunResult serialization layout changes.
 SCHEMA_VERSION = 2
@@ -250,13 +251,18 @@ def _stats_from_dict(d: Mapping[str, Any]) -> MachineStats:
 
 @dataclass
 class _BuildCache:
-    """Bounded per-process LRU of workload builds and dynamic traces.
+    """Bounded per-process LRU of what replay reads: programs, dynamic
+    traces and fetch plans.
 
-    Traces dominate memory (tens of thousands of DynInst records each),
-    so both maps are bounded; evicting a build also evicts the traces
-    materialized from it.  Grid drivers order their runs workload-major
-    (see :func:`repro.eval.parallel.run_many`), so a small bound still
-    gives every design of a workload a warm trace.
+    A trace and the program it runs are kept together, keyed on the
+    trace axes (workload, register budgets, scale, instruction budget),
+    and leave the cache together.  The workload's initialized memory
+    image is *not* kept: capture needs it once, replay never reads it,
+    and at the ledger's budgets an image (9.5-11.3 MB for mpeg_play and
+    xlisp) outweighs its trace (under 1 MB per 5,000 instructions).
+    Grid drivers order their runs workload-major (see
+    :func:`repro.eval.parallel.run_many`), so a small bound still gives
+    every design of a workload a warm trace.
 
     When an on-disk :class:`~repro.eval.artifacts.ArtifactStore` is
     attached (:func:`configure_artifacts`), trace and fetch-plan misses
@@ -266,36 +272,17 @@ class _BuildCache:
     once and replay it everywhere.
     """
 
-    max_builds: int = 8
     max_traces: int = 4
     max_plans: int = 4
-    builds: OrderedDict = field(default_factory=OrderedDict)
     traces: OrderedDict = field(default_factory=OrderedDict)
+    #: The program behind each cached trace, under the same key: a
+    #: synthetic workload's static code, or the program synthesized for
+    #: an ingested external trace.
+    programs: OrderedDict = field(default_factory=OrderedDict)
     plans: OrderedDict = field(default_factory=OrderedDict)
-    #: Synthesized programs of ingested external traces, keyed on the
-    #: full trace axes.  Separate from ``builds``: an ingested program
-    #: depends on the windowed record subset (so its key includes
-    #: ``max_instructions``), and there is no WorkloadBuild behind it.
-    ingested: OrderedDict = field(default_factory=OrderedDict)
     #: Optional repro.eval.artifacts.ArtifactStore (duck-typed to avoid
     #: an import cycle: resultstore imports this module).
     artifacts: Any = None
-
-    def get(self, workload: str, int_regs: int, fp_regs: int, scale: float) -> WorkloadBuild:
-        key = (workload, int_regs, fp_regs, scale)
-        build = self.builds.get(key)
-        if build is not None:
-            self.builds.move_to_end(key)
-            return build
-        build = make_workload(workload).build(
-            int_regs=int_regs, fp_regs=fp_regs, scale=scale
-        )
-        self.builds[key] = build
-        while len(self.builds) > self.max_builds:
-            evicted, _ = self.builds.popitem(last=False)
-            for tkey in [t for t in self.traces if t[:4] == evicted]:
-                del self.traces[tkey]
-        return build
 
     def get_trace(
         self,
@@ -313,69 +300,13 @@ class _BuildCache:
         """
         key = (workload, int_regs, fp_regs, scale, max_instructions)
         trace = self.traces.get(key)
-        if trace is not None:
-            self.traces.move_to_end(key)
-            return trace
-        if is_trace_workload(workload):
-            return self._get_ingested(key)[1]
-        if self.artifacts is not None:
-            hydrated = self.artifacts.load_build(key)
-            if hydrated is not None:
-                _, trace = hydrated
-                self.traces[key] = trace
-                while len(self.traces) > self.max_traces:
-                    self.traces.popitem(last=False)
-                return trace
-        build = self.get(workload, int_regs, fp_regs, scale)
-        trace = capture_trace(
-            build.program, build.memory.clone(), max_instructions=max_instructions
-        )
-        if self.artifacts is not None:
-            self.artifacts.save_build(key, build.program, trace)
-        self.traces[key] = trace
-        while len(self.traces) > self.max_traces:
-            self.traces.popitem(last=False)
+        if trace is None:
+            return self._load(key)[1]
+        self.traces.move_to_end(key)
+        self.programs.move_to_end(key)
         return trace
 
-    def _get_ingested(self, key: tuple):
-        """Build (or hydrate) an ingested external-trace workload.
-
-        ``key`` is the full trace axes with an ingested-workload token
-        in the workload slot.  The token is self-describing (source
-        path + content digest + window policy), so this works in any
-        process that holds it — pool workers, the serve daemon — with
-        no registry handshake.  Returns ``(program, trace)`` and caches
-        both (the program in :attr:`ingested`, the trace in
-        :attr:`traces` so designs share it like any synthetic trace).
-        """
-        workload, int_regs, fp_regs, _scale, max_instructions = key
-        spec = parse_workload(workload)
-        program = trace = None
-        if self.artifacts is not None:
-            hydrated = self.artifacts.load_ingested(
-                key, spec.digest12, spec.window.to_payload()
-            )
-            if hydrated is not None:
-                program, trace, _meta = hydrated
-        if trace is None:
-            compiled = compile_workload(
-                spec,
-                int_regs=int_regs,
-                fp_regs=fp_regs,
-                max_instructions=max_instructions,
-            )
-            program, trace = compiled.program, compiled.trace
-            if self.artifacts is not None:
-                self.artifacts.save_ingested(key, program, trace, compiled.meta)
-        self.ingested[key] = program
-        while len(self.ingested) > self.max_builds:
-            self.ingested.popitem(last=False)
-        self.traces[key] = trace
-        while len(self.traces) > self.max_traces:
-            self.traces.popitem(last=False)
-        return program, trace
-
-    def get_ingested_program(
+    def get_program(
         self,
         workload: str,
         int_regs: int,
@@ -383,13 +314,74 @@ class _BuildCache:
         scale: float,
         max_instructions: int,
     ):
-        """The synthesized program behind an ingested workload token."""
+        """The program :meth:`get_trace` replays for the same axes."""
         key = (workload, int_regs, fp_regs, scale, max_instructions)
-        program = self.ingested.get(key)
-        if program is not None:
-            self.ingested.move_to_end(key)
-            return program
-        return self._get_ingested(key)[0]
+        self.get_trace(*key)  # loads or refreshes the pair
+        return self.programs[key]
+
+    def _load(self, key: tuple):
+        """Hydrate or build ``(program, trace)`` for ``key`` and cache both."""
+        if is_trace_workload(key[0]):
+            program, trace = self._ingest(key)
+        else:
+            program, trace = self._capture(key)
+        self.programs[key] = program
+        self.traces[key] = trace
+        while len(self.traces) > self.max_traces:
+            evicted, _ = self.traces.popitem(last=False)
+            del self.programs[evicted]
+        return program, trace
+
+    def _capture(self, key: tuple):
+        """Hydrate a synthetic workload, or build it and capture its trace.
+
+        The freshly built memory image is captured in place — nothing
+        else holds it — and dropped on return.
+        """
+        workload, int_regs, fp_regs, scale, max_instructions = key
+        if self.artifacts is not None:
+            hydrated = self.artifacts.load_build(key)
+            if hydrated is not None:
+                return hydrated
+        build = make_workload(workload).build(
+            int_regs=int_regs, fp_regs=fp_regs, scale=scale
+        )
+        trace = capture_trace(
+            build.program, build.memory, max_instructions=max_instructions
+        )
+        if self.artifacts is not None:
+            self.artifacts.save_build(key, build.program, trace)
+        return build.program, trace
+
+    def _ingest(self, key: tuple):
+        """Hydrate or compile an ingested external-trace workload.
+
+        ``key`` is the full trace axes with an ingested-workload token
+        in the workload slot.  The token is self-describing (source
+        path + content digest + window policy), so this works in any
+        process that holds it — pool workers, the serve daemon — with
+        no registry handshake.
+        """
+        workload, int_regs, fp_regs, _scale, max_instructions = key
+        spec = parse_workload(workload)
+        if self.artifacts is not None:
+            hydrated = self.artifacts.load_ingested(
+                key, spec.digest12, spec.window.to_payload()
+            )
+            if hydrated is not None:
+                program, trace, _meta = hydrated
+                return program, trace
+        compiled = compile_workload(
+            spec,
+            int_regs=int_regs,
+            fp_regs=fp_regs,
+            max_instructions=max_instructions,
+        )
+        if self.artifacts is not None:
+            self.artifacts.save_ingested(
+                key, compiled.program, compiled.trace, compiled.meta
+            )
+        return compiled.program, compiled.trace
 
     def get_fetch_plan(
         self, req: "RunRequest", config: MachineConfig, trace: list
@@ -431,11 +423,10 @@ _CACHE = _BuildCache()
 
 
 def clear_build_cache() -> None:
-    """Drop cached workload builds and traces (frees their memory)."""
-    _CACHE.builds.clear()
+    """Drop cached programs, traces and fetch plans (frees their memory)."""
     _CACHE.traces.clear()
+    _CACHE.programs.clear()
     _CACHE.plans.clear()
-    _CACHE.ingested.clear()
 
 
 def configure_artifacts(store) -> Any:

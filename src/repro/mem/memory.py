@@ -67,11 +67,13 @@ class SparseMemory:
             self.store_word(vaddr + 4 * i, value)
 
     def clone(self) -> "SparseMemory":
-        """Cheap copy for reusing one initialized image across many runs.
+        """Independent copy of this image (a shallow copy of its words).
 
-        Timing sweeps run the same workload under many translation
-        designs; cloning the initialized image is far cheaper than
-        regenerating it.
+        Functional runs mutate the image they execute on, so a caller
+        that runs one initialized image more than once — the
+        differential checker, tests comparing two captures — clones it
+        first.  The build cache does not: it captures each freshly
+        built image once, in place, and keeps only the trace.
         """
         copy = SparseMemory()
         copy._words = dict(self._words)

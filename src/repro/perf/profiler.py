@@ -15,7 +15,7 @@ Attach one via the CLIs' ``--profile`` flag, or directly::
 
 The per-phase wrappers cost roughly 2x on the hot loop, so profile runs
 are for finding hot spots, not for benchmarking; use
-``benchmarks/test_simcore_speed.py`` for timing.
+``perfbench/run.py`` (the benchmark ledger) for timing.
 """
 
 from __future__ import annotations

@@ -198,16 +198,20 @@ class TestLegacyKernelSection:
 
 
 class TestBuildCacheHydration:
-    def test_cache_hydrates_before_building(self, tmp_path):
+    def test_cache_hydrates_before_building(self, tmp_path, monkeypatch):
         store = ArtifactStore(tmp_path)
         warm = _BuildCache(artifacts=store)
         trace = warm.get_trace(*AXES)
         assert store.stats.puts >= 1  # written through on build
 
         # A fresh cache (fresh process stand-in) must hydrate, not build.
+        def no_build(name):
+            raise AssertionError("hydration must not invoke the workload builder")
+
+        monkeypatch.setattr("repro.eval.runner.make_workload", no_build)
         cold = _BuildCache(artifacts=store)
         hydrated = cold.get_trace(*AXES)
-        assert not cold.builds, "hydration must not invoke the workload builder"
+        assert cold.get_program(*AXES).instructions
         assert [(d.pc, d.ea) for d in hydrated] == [(d.pc, d.ea) for d in trace]
 
     def test_hydrated_simulation_bit_identical(self, tmp_path):

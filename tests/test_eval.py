@@ -46,23 +46,29 @@ class TestRunner:
         assert res.ipc > 0
 
     def test_build_cache_reused_across_designs(self):
-        clear_build_cache()
-        run_one(RunRequest(workload="espresso", design="T4", **FAST))
         from repro.eval.runner import _CACHE
 
-        before = len(_CACHE.builds)
+        clear_build_cache()
+        run_one(RunRequest(workload="espresso", design="T4", **FAST))
+        key = ("espresso", 32, 32, 1.0, FAST["max_instructions"])
+        trace = _CACHE.traces[key]
         run_one(RunRequest(workload="espresso", design="T1", **FAST))
-        assert len(_CACHE.builds) == before
+        assert list(_CACHE.traces) == [key]
+        assert _CACHE.get_trace(*key) is trace
 
     def test_distinct_budgets_cached_separately(self):
+        from repro.eval.runner import _CACHE
+
         clear_build_cache()
         run_one(RunRequest(workload="espresso", design="T4", **FAST))
         run_one(
             RunRequest(workload="espresso", design="T4", int_regs=8, fp_regs=8, **FAST)
         )
-        from repro.eval.runner import _CACHE
-
-        assert len(_CACHE.builds) == 2
+        wide = ("espresso", 32, 32, 1.0, FAST["max_instructions"])
+        narrow = ("espresso", 8, 8, 1.0, FAST["max_instructions"])
+        assert list(_CACHE.traces) == list(_CACHE.programs) == [wide, narrow]
+        assert _CACHE.programs[wide] is not _CACHE.programs[narrow]
+        assert _CACHE.traces[wide] is not _CACHE.traces[narrow]
 
 
 class TestExperiments:

@@ -242,27 +242,33 @@ class TestResultStore:
 
 
 class TestBuildCacheLRU:
-    def test_builds_bounded_and_traces_evicted_with_build(self):
-        cache = _BuildCache(max_builds=2, max_traces=8)
-        for regs in (32, 16, 8):
-            cache.get_trace("espresso", regs, regs, 1.0, 500)
-        assert len(cache.builds) == 2
-        # The oldest build (regs=32) and its trace are both gone.
-        assert ("espresso", 32, 32, 1.0) not in cache.builds
-        assert ("espresso", 32, 32, 1.0, 500) not in cache.traces
+    @staticmethod
+    def _axes(workload, budget=500):
+        return (workload, 32, 32, 1.0, budget)
+
+    def test_plans_bounded_lru(self):
+        cache = _BuildCache(max_traces=4, max_plans=2)
+        # 100 is refreshed before 300 arrives, so 200 is evicted.
+        for budget in (100, 200, 100, 300):
+            req = RunRequest(workload="espresso", design="T4", max_instructions=budget)
+            trace = cache.get_trace(*self._axes("espresso", budget))
+            cache.get_fetch_plan(req, req.machine_config(), trace)
+        assert [key[4] for key in cache.plans] == [100, 300]
 
     def test_traces_bounded_lru(self):
-        cache = _BuildCache(max_builds=4, max_traces=2)
+        cache = _BuildCache(max_traces=2)
         for budget in (100, 200, 300):
-            cache.get_trace("espresso", 32, 32, 1.0, budget)
+            cache.get_trace(*self._axes("espresso", budget))
         assert len(cache.traces) == 2
-        assert ("espresso", 32, 32, 1.0, 100) not in cache.traces
+        assert self._axes("espresso", 100) not in cache.traces
+        # A program leaves the cache with its trace.
+        assert list(cache.programs) == list(cache.traces)
 
     def test_lru_recency_respected(self):
-        cache = _BuildCache(max_builds=2, max_traces=4)
-        cache.get("espresso", 32, 32, 1.0)
-        cache.get("xlisp", 32, 32, 1.0)
-        cache.get("espresso", 32, 32, 1.0)  # refresh
-        cache.get("compress", 32, 32, 1.0)  # evicts xlisp, not espresso
-        assert ("espresso", 32, 32, 1.0) in cache.builds
-        assert ("xlisp", 32, 32, 1.0) not in cache.builds
+        cache = _BuildCache(max_traces=2)
+        cache.get_trace(*self._axes("espresso"))
+        cache.get_trace(*self._axes("xlisp"))
+        cache.get_program(*self._axes("espresso"))  # refresh
+        cache.get_trace(*self._axes("compress"))  # evicts xlisp, not espresso
+        assert list(cache.traces) == [self._axes("espresso"), self._axes("compress")]
+        assert list(cache.programs) == list(cache.traces)
