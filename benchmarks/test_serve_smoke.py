@@ -3,8 +3,9 @@
 Boots a real ``python -m repro.serve`` daemon on a temporary store,
 submits a small grid through the public client API (``run_many`` with a
 server address), checks the streamed results are bit-identical to the
-local engine, drives the ``python -m repro.eval --server`` CLI path,
-and shuts the daemon down cleanly.
+local engine, checks that a second daemon on the same store is refused
+at startup, drives the ``python -m repro.eval --server`` CLI path, and
+shuts the daemon down cleanly.
 
 Run directly (the CI ``serve-smoke`` job)::
 
@@ -72,6 +73,25 @@ def main() -> int:
             assert stats["store_hits"] >= len(grid), stats
             print(f"warm rerun: {stats['store_hits']} store hits, "
                   f"{stats['simulated']} total simulations")
+
+            # One daemon per store: a second one on the same store
+            # (another socket) must exit non-zero, naming the store.
+            second = subprocess.run(
+                [
+                    sys.executable, "-m", "repro.serve",
+                    "--listen", f"unix:{td}/second.sock",
+                    "--store", f"{td}/store",
+                    "--artifacts", f"{td}/artifacts",
+                ],
+                env=_daemon_env(),
+                capture_output=True,
+                text=True,
+                timeout=30,
+            )
+            assert second.returncode != 0, second.stderr
+            assert "is already served by another daemon" in second.stderr, second.stderr
+            assert f"{td}/store" in second.stderr, second.stderr
+            print("second daemon on the same store refused")
 
             # The CLI client path: a tiny figure-5 slice over the daemon.
             cli = subprocess.run(

@@ -94,8 +94,20 @@ class RunRequest:
 
     def __post_init__(self):
         # Fail where the request is built (client, CLI, journal replay),
-        # not later in a worker: unknown config names, designs and
-        # mechanism classes all raise ValueError here.
+        # not later in a worker: mistyped fields, unknown config names,
+        # designs and mechanism classes, and anything MachineConfig
+        # refuses all raise ValueError here.
+        for name in ("workload", "design"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string: {getattr(self, name)!r}")
+        for name in ("page_size", "int_regs", "fp_regs", "max_instructions"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer: {value!r}")
+        if not isinstance(self.scale, (int, float)) or isinstance(self.scale, bool):
+            raise ValueError(f"scale must be a number: {self.scale!r}")
+        if self.max_instructions < 1:
+            raise ValueError(f"max_instructions must be >= 1: {self.max_instructions}")
         object.__setattr__(self, "config", _normalize_pairs(self.config))
         unknown = [name for name, _ in self.config if name not in _CONFIG_NAMES]
         if unknown:
@@ -108,6 +120,11 @@ class RunRequest:
             mechanism_class(self.mechanism[0])
         else:
             design_builder(self.design)
+        self.machine_config()
+        try:
+            hash(self)  # the daemon's in-flight table keys on requests
+        except TypeError as exc:
+            raise ValueError(f"config and mechanism values must be hashable: {exc}") from None
 
     @classmethod
     def create(cls, workload: str, design: str, *, mechanism=None, **options):
@@ -172,7 +189,13 @@ class RunRequest:
         d = dict(d)
         mech = d.pop("mechanism", None)
         if mech is not None:
-            mech = (mech[0], tuple((k, v) for k, v in mech[1]))
+            try:
+                name, pairs = mech
+                mech = (name, tuple((k, v) for k, v in pairs))
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"mechanism must be a [name, [[key, value], ...]] pair: {mech!r}"
+                ) from None
         return cls(mechanism=mech, **d)
 
     def key(self) -> str:

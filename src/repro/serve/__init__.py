@@ -11,10 +11,8 @@ number of clients evaluate through it:
 * :mod:`repro.serve.journal` — the append-only job journal that makes a
   killed daemon recoverable (completed work re-serves from the result
   store; only what was in flight is recomputed);
-* :mod:`repro.serve.claimfile` — atomic store-side claim files, so two
-  daemons sharing one store directory (multi-host sharding over a
-  network filesystem) never simulate the same request twice;
-* :mod:`repro.serve.scheduler` — the asyncio scheduler: answers what it
+* :mod:`repro.serve.scheduler` — the asyncio scheduler: holds an
+  exclusive lock on its store (one daemon per store), answers what it
   can from the stores, dedupes identical in-flight requests across all
   connected clients (one simulation, many subscribers), and dispatches
   the rest to a worker pool in the longest-estimated-first single-build

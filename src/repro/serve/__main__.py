@@ -4,17 +4,17 @@ Usage::
 
     python -m repro.serve [--listen ADDR] [--jobs N] [--store DIR]
                           [--no-cache] [--artifacts [DIR]]
-                          [--claim-ttl SECONDS] [--no-claims] [--no-journal]
 
 ``ADDR`` is ``unix:<path>`` or ``[tcp:]host:port``; the default is
 ``$REPRO_SERVE_ADDR`` or a unix socket next to the default stores
 (``~/.cache/repro/serve.sock``).  The daemon owns the result store
 (default on — durability is store-native), an artifact store (default
-on: workers hydrate builds from disk), a job journal under the store
+on: workers hydrate builds from disk) and a job journal under the store
 root (killed daemons recover: completed work re-serves as cache hits,
-only in-flight requests are recomputed), and a claim-file board so a
-second daemon on another host sharing the store directory never
-duplicates work.
+only in-flight requests are recomputed).  One daemon serves a store at
+a time: a second one started on a store that is already served exits
+with status 1 and a ``store ... is already served by another daemon``
+error.
 
 Stop it with SIGINT/SIGTERM or a client ``shutdown`` op
 (:func:`repro.serve.client.shutdown_server`); both drain cleanly.
@@ -29,36 +29,20 @@ import signal
 import sys
 
 from repro.eval.options import EvalOptions, add_eval_args, default_server_address
-from repro.serve.claimfile import DEFAULT_TTL, ClaimBoard
 from repro.serve.daemon import EvalServer
 from repro.serve.journal import JobJournal
-from repro.serve.scheduler import Scheduler
+from repro.serve.scheduler import Scheduler, StoreLockedError
 
 
-def build_server(
-    address: str,
-    opts: EvalOptions,
-    claim_ttl: float = DEFAULT_TTL,
-    journal: bool = True,
-    claims: bool = True,
-    poll_interval: "float | None" = None,
-) -> EvalServer:
-    """Assemble a daemon from resolved options (shared with tests)."""
+def build_server(address: str, opts: EvalOptions) -> EvalServer:
+    """Assemble a daemon from resolved options (shared with tests).
+
+    A daemon with a store always journals its queue under the store root.
+    """
     store = opts.store
-    board = journal_obj = None
-    if store is not None:
-        if journal:
-            journal_obj = JobJournal(store.root / "journal.jsonl")
-        if claims:
-            board = ClaimBoard(store.root / "claims", ttl=claim_ttl)
-    kwargs = {} if poll_interval is None else {"poll_interval": poll_interval}
+    journal = JobJournal(store.root / "journal.jsonl") if store is not None else None
     scheduler = Scheduler(
-        store=store,
-        artifacts=opts.artifacts,
-        jobs=opts.jobs,
-        journal=journal_obj,
-        claims=board,
-        **kwargs,
+        store=store, artifacts=opts.artifacts, jobs=opts.jobs, journal=journal
     )
     return EvalServer(scheduler, address)
 
@@ -93,14 +77,12 @@ async def amain(args: argparse.Namespace) -> int:
             flush=True,
         )
     address = args.listen or default_server_address()
-    server = build_server(
-        address,
-        opts,
-        claim_ttl=args.claim_ttl,
-        journal=not args.no_journal,
-        claims=not args.no_claims,
-    )
-    recovered = await server.start()
+    server = build_server(address, opts)
+    try:
+        recovered = await server.start()
+    except StoreLockedError as exc:
+        print(f"repro.serve: error: {exc}", file=sys.stderr, flush=True)
+        return 1
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGINT, signal.SIGTERM):
         loop.add_signal_handler(sig, server.request_stop)
@@ -142,23 +124,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "--no-artifacts",
         action="store_true",
         help="disable the artifact store the daemon otherwise enables by default",
-    )
-    parser.add_argument(
-        "--claim-ttl",
-        type=float,
-        default=DEFAULT_TTL,
-        metavar="SECONDS",
-        help=f"stale-claim expiry for multi-daemon stores (default {DEFAULT_TTL:.0f}s)",
-    )
-    parser.add_argument(
-        "--no-claims",
-        action="store_true",
-        help="skip claim files (single-daemon store directories)",
-    )
-    parser.add_argument(
-        "--no-journal",
-        action="store_true",
-        help="skip the job journal (no restart recovery)",
     )
     args = parser.parse_args(argv)
     try:

@@ -153,7 +153,7 @@ class ServeClient:
         """Submit and collect: results in input order, like ``run_many``.
 
         ``progress`` receives one line per finished request, matching
-        the local engine's wording (``cached`` for store/peer answers,
+        the local engine's wording (``cached`` for store answers,
         ``done`` for fresh simulations).  Any per-request failure
         raises :class:`ServeError` after the batch drains.
         """

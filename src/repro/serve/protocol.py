@@ -16,7 +16,7 @@ Client -> server::
 Server -> client::
 
     {"op": "ack",    "id": ..., "total": N}
-    {"op": "result", "id": ..., "index": i, "source": "store"|"peer"|"simulated",
+    {"op": "result", "id": ..., "index": i, "source": "store"|"simulated",
                      "result": <RunResult.to_dict()>}
     {"op": "error",  "id": ..., "index": i, "message": ...}   # one request failed
     {"op": "done",   "id": ..., "completed": N, "failed": M}
@@ -26,9 +26,9 @@ Server -> client::
     {"op": "error",  "message": ...}            # protocol-level complaint
 
 ``source`` says where a result came from: the daemon's result store
-(``store``), another daemon sharing the store directory (``peer``), or
-a fresh simulation (``simulated``).  Results stream in completion
-order; ``index`` maps each back to its position in the submitted batch.
+(``store``) or a fresh simulation (``simulated``).  Results stream in
+completion order; ``index`` maps each back to its position in the
+submitted batch.
 
 Addresses are strings: ``unix:<path>`` (also any bare value containing
 a ``/``) or ``[tcp:]host:port``.  :func:`parse_address` is the single

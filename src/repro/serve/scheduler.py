@@ -10,12 +10,7 @@ submitted by any connected client flows through :meth:`submit_one`:
 2. **Store hit** — the content-addressed result store answers without
    simulating (this is also how a restarted daemon re-serves the work
    it finished in a previous life).
-3. **Claim** — with a :class:`~repro.serve.claimfile.ClaimBoard`
-   attached, the request is claimed before simulating; if another
-   daemon over the same store directory already holds it, this daemon
-   just polls the store until the peer's result lands (or the claim
-   goes stale and is stolen).
-4. **Dispatch** — everything else is batched by a dispatcher tick into
+3. **Dispatch** — everything else is batched by a dispatcher tick into
    the longest-estimated-first, single-build chunks of
    :func:`repro.eval.parallel._schedule_chunks` and fanned out over a
    ``ProcessPoolExecutor`` whose workers hydrate build artifacts from
@@ -24,11 +19,19 @@ submitted by any connected client flows through :meth:`submit_one`:
 Completed results are persisted to the store *before* the job journal
 records them done, so a crash between the two only costs a redundant
 journal entry, never a lost result.
+
+One scheduler owns its store: :meth:`Scheduler.start` takes an
+exclusive ``flock`` on ``<store root>/serve.lock`` before it touches the
+journal and holds it until :meth:`Scheduler.stop`, so a second daemon
+over the same store fails at startup with :class:`StoreLockedError`.
+The kernel drops the lock when its holder dies, so a killed daemon's
+store can be reopened at once.
 """
 
 from __future__ import annotations
 
 import asyncio
+import fcntl
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -38,8 +41,9 @@ from repro.eval.parallel import _init_worker, _schedule_chunks
 from repro.eval.parallel import _run_chunk as _simulate_chunk
 from repro.eval.runner import RunRequest, RunResult
 
-#: How often a daemon waiting on a peer's claim re-polls the store.
-DEFAULT_POLL_INTERVAL = 0.25
+
+class StoreLockedError(RuntimeError):
+    """Another live daemon already serves this store directory."""
 
 
 @dataclass
@@ -49,12 +53,9 @@ class SchedulerStats:
     submitted: int = 0  # distinct requests accepted
     deduped: int = 0  # submissions answered by an in-flight job
     store_hits: int = 0  # answered from the result store
-    peer_hits: int = 0  # answered by another daemon via the store
     simulated: int = 0  # simulated by this daemon's workers
     failed: int = 0
     recovered: int = 0  # journal entries resubmitted at startup
-    claims_stolen: int = 0  # stale peer claims broken
-    claims_swept: int = 0  # dead same-host claims removed at startup
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -64,8 +65,8 @@ class SchedulerStats:
 class Job:
     """One in-flight request and the future its subscribers await.
 
-    The future resolves to ``(RunResult, source)`` with ``source`` one
-    of ``"store"``, ``"peer"``, ``"simulated"``.
+    The future resolves to ``(RunResult, source)`` with ``source``
+    either ``"store"`` or ``"simulated"``.
     """
 
     request: RunRequest
@@ -81,15 +82,11 @@ class Scheduler:
         artifacts=None,
         jobs: "int | None" = 1,
         journal=None,
-        claims=None,
-        poll_interval: float = DEFAULT_POLL_INTERVAL,
     ):
         self.store = store
         self.artifacts = artifacts
         self.jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
         self.journal = journal
-        self.claims = claims
-        self.poll_interval = poll_interval
         self.stats = SchedulerStats()
         self._inflight: "dict[RunRequest, Job]" = {}
         self._ready: "list[Job]" = []
@@ -98,16 +95,21 @@ class Scheduler:
         self._loop: "asyncio.AbstractEventLoop | None" = None
         self._wake: "asyncio.Event | None" = None
         self._dispatcher: "asyncio.Task | None" = None
+        self._lock_file = None
 
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> int:
-        """Create the worker pool and recover the journal.
+        """Lock the store, create the worker pool and recover the journal.
 
         Returns the number of journaled in-flight requests resubmitted
         (their completed siblings need no recovery: they are already
-        store entries and will answer as hits).
+        store entries and will answer as hits).  Raises
+        :class:`StoreLockedError`, before reading the journal, if
+        another daemon holds the store.
         """
+        if self.store is not None:
+            self._lock_store()
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
         root = str(self.artifacts.root) if self.artifacts is not None else None
@@ -122,10 +124,6 @@ class Scheduler:
             initargs=(root,),
         )
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
-        if self.claims is not None:
-            # A predecessor killed on this host left its claims behind;
-            # drop them now or its in-flight work waits out the TTL.
-            self.stats.claims_swept = self.claims.sweep_dead_owners()
         recovered = 0
         if self.journal is not None:
             outstanding = self.journal.replay()
@@ -153,12 +151,35 @@ class Scheduler:
         for job in list(self._inflight.values()):
             if not job.future.done():
                 job.future.cancel()
-            if self.claims is not None:
-                self.claims.release(job.request)
         self._inflight.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
+        if self._lock_file is not None:
+            self._lock_file.close()  # closing the descriptor drops the flock
+            self._lock_file = None
+
+    def _lock_store(self) -> None:
+        """Take the store's exclusive daemon lock or raise StoreLockedError.
+
+        The lock lives on its own file: the journal cannot carry it
+        because :meth:`JobJournal.compact` replaces that file.
+        """
+        root = self.store.root
+        root.mkdir(parents=True, exist_ok=True)
+        path = root / "serve.lock"
+        lock_file = open(path, "ab")
+        try:
+            fcntl.flock(lock_file, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as exc:
+            lock_file.close()
+            if not isinstance(exc, BlockingIOError):
+                raise
+            raise StoreLockedError(
+                f"store {root} is already served by another daemon "
+                f"(lock held on {path}); stop it or pick another --store"
+            ) from None
+        self._lock_file = lock_file
 
     # -- submission -----------------------------------------------------------
 
@@ -192,7 +213,7 @@ class Scheduler:
         task.add_done_callback(self._tasks.discard)
 
     async def _admit(self, job: Job) -> None:
-        """Route one accepted request: store, peer wait, or ready queue."""
+        """Route one accepted request: store hit or ready queue."""
         req = job.request
         try:
             if self.store is not None:
@@ -201,35 +222,12 @@ class Scheduler:
                     self.stats.store_hits += 1
                     self._finish(job, hit, "store")
                     return
-            if self.claims is not None and not self.claims.try_claim(req):
-                result = await self._await_peer(req)
-                if result is not None:
-                    self.stats.peer_hits += 1
-                    self._finish(job, result, "peer")
-                    return
-                # The stale claim was stolen: we own it now; fall through.
             self._ready.append(job)
             self._wake.set()
         except asyncio.CancelledError:
             raise
         except Exception as exc:
             self._fail(job, exc)
-
-    async def _await_peer(self, req: RunRequest) -> "RunResult | None":
-        """Another daemon holds the claim: poll the store for its result.
-
-        Returns the peer's result, or ``None`` after stealing a stale
-        claim (the daemon holding it died) — the caller then simulates.
-        """
-        while True:
-            await asyncio.sleep(self.poll_interval)
-            if self.store is not None:
-                hit = self.store.get(req)
-                if hit is not None:
-                    return hit
-            if self.claims.steal_if_stale(req):
-                self.stats.claims_stolen += 1
-                return None
 
     async def _dispatch_loop(self) -> None:
         """Batch ready jobs into scheduled chunks and fan them out."""
@@ -265,8 +263,6 @@ class Scheduler:
         req = job.request
         if self.journal is not None:
             self.journal.record_done(req)
-        if self.claims is not None:
-            self.claims.release(req)
         self._inflight.pop(req, None)
         if not job.future.done():
             job.future.set_result((result, source))
@@ -278,8 +274,6 @@ class Scheduler:
             # A failed request is no longer owed: journaling it done
             # keeps restarts from resimulating a deterministic failure.
             self.journal.record_done(req)
-        if self.claims is not None:
-            self.claims.release(req)
         self._inflight.pop(req, None)
         if not job.future.done():
             job.future.set_exception(exc)

@@ -4,6 +4,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.eval.options import EvalOptions
 from repro.eval.parallel import run_many
@@ -119,6 +121,127 @@ class TestRunRequest:
         assert base.key() not in keys
         # Same content, same key.
         assert base.key() == RunRequest(workload="espresso", design="T4").key()
+
+    def test_keys_are_stable(self):
+        # Stored results are addressed by these keys; build-time checks
+        # must never alter them.
+        assert RunRequest("espresso", "T4").key() == (
+            "4680d50932fc7358cb0d88b1729616eae640f0c322714191ab91d7808356f2ca"
+        )
+        req = RunRequest.create(
+            "xlisp",
+            "custom",
+            mechanism=("MultiLevelTLB", {"l1_entries": 4}),
+            predictor="gshare",
+            max_instructions=2000,
+            page_size=8192,
+            scale=2.0,
+        )
+        assert req.key() == (
+            "9fddbe69e015b128f7e4a556f44486b7792d3edccd4c0ddab7e6c65b97ca6e05"
+        )
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("workload", 5, "workload"),
+            ("design", None, "design"),
+            ("page_size", 3, "page size"),
+            ("page_size", 4096.0, "page_size"),
+            ("int_regs", "32", "int_regs"),
+            ("fp_regs", False, "fp_regs"),
+            ("scale", "1.0", "scale"),
+            ("max_instructions", -5, "max_instructions"),
+            ("max_instructions", 0, "max_instructions"),
+            ("max_instructions", 1.5, "max_instructions"),
+            ("max_instructions", True, "max_instructions"),
+            ("issue_model", "bogus", "bogus"),
+        ],
+    )
+    def test_bad_scalar_field_rejected_at_build(self, field, value, match):
+        fields = {"workload": "espresso", "design": "T4", field: value}
+        with pytest.raises(ValueError, match=match):
+            RunRequest(**fields)
+        d = RunRequest("espresso", "T4").to_dict()
+        d[field] = value
+        with pytest.raises(ValueError, match=match):
+            RunRequest.from_dict(d)
+
+    def test_machine_config_checks_run_at_build(self):
+        with pytest.raises(ValueError, match="predictor"):
+            RunRequest.create("espresso", "T4", predictor="psychic")
+
+    @pytest.mark.parametrize("mechanism", [[], ["T4"], "x", 5, {}, ["PerfectTLB", 5]])
+    def test_malformed_mechanism_rejected_from_dict(self, mechanism):
+        d = RunRequest("espresso", "T4").to_dict()
+        d["mechanism"] = mechanism
+        with pytest.raises(ValueError, match="mechanism"):
+            RunRequest.from_dict(d)
+
+    def test_unhashable_override_rejected(self):
+        # The daemon dedups in-flight work by request; an unhashable
+        # value must fail here, not inside the scheduler.
+        with pytest.raises(ValueError, match="hashable"):
+            RunRequest("espresso", "T4", config={"tlb_miss_latency": [30]})
+
+
+_NAMES = st.sampled_from(
+    ["T4", "M8", "espresso", "ooo", "gshare", "MultiLevelTLB", "l1_entries",
+     "tlb_miss_latency", "predictor", "sanity", "kernel"]
+)
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8)
+    | _NAMES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8) | _NAMES, inner, max_size=4),
+    max_leaves=12,
+)
+_PAIRS = st.lists(st.lists(_NAMES | _JSON, min_size=1, max_size=3), max_size=3)
+_FIELDS = list(RunRequest("espresso", "T4").to_dict()) + ["nonsense"]
+
+
+class TestRequestDecodingFuzz:
+    """Arbitrary JSON in a request dict: a request, or a clean rejection.
+
+    ``RunRequest.from_dict`` is the daemon's decoder for untrusted
+    client bytes; anything but ValueError/TypeError/KeyError escapes
+    its error reply and leaves the client waiting.
+    """
+
+    @staticmethod
+    def _decode(d: dict) -> None:
+        try:
+            req = RunRequest.from_dict(d)
+        except (ValueError, TypeError, KeyError):
+            return
+        hash(req)
+        again = RunRequest.from_dict(json.loads(json.dumps(req.to_dict())))
+        assert again.key() == req.key()
+
+    @settings(max_examples=200, deadline=None)
+    @given(field=st.sampled_from(_FIELDS), value=_JSON)
+    def test_any_value_at_any_field(self, field, value):
+        d = RunRequest("espresso", "T4").to_dict()
+        d[field] = value
+        self._decode(d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mechanism=_JSON | st.tuples(_NAMES | _JSON, _PAIRS | _JSON).map(list))
+    def test_any_mechanism(self, mechanism):
+        d = RunRequest("espresso", "T4").to_dict()
+        d["mechanism"] = mechanism
+        self._decode(d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=_JSON | _PAIRS)
+    def test_any_config(self, config):
+        d = RunRequest("espresso", "T4").to_dict()
+        d["config"] = config
+        self._decode(d)
 
 
 class TestRunResult:

@@ -1,10 +1,10 @@
 """Tests of the evaluation service (repro.serve) and the options API.
 
-Covers the tentpole acceptance criteria: in-flight dedup across
-concurrent clients, SIGKILL + restart recovery (completed work
-re-served from the store, only in-flight work recomputed), claim-file
-contention between two schedulers over one store directory, and
-bit-identity of served results against the local engine.
+Covers in-flight dedup across concurrent clients, SIGKILL + restart
+recovery (completed work re-served from the store, only in-flight work
+recomputed), the one-daemon-per-store lock, rejection of malformed
+requests before scheduling, and bit-identity of served results against
+the local engine.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from repro.eval.parallel import ProgressError, run_many
 from repro.eval.resultstore import ResultStore
 from repro.eval.runner import RunRequest, run_one
 from repro.serve import protocol
-from repro.serve.claimfile import ClaimBoard
 from repro.serve.client import ServeClient, ServeError, run_remote, server_info, shutdown_server
 from repro.serve.journal import JobJournal
-from repro.serve.scheduler import Scheduler
+from repro.serve.scheduler import Scheduler, StoreLockedError
 from repro.serve.__main__ import build_server
 
 FAST = dict(max_instructions=2_000)
@@ -121,62 +120,6 @@ class TestJobJournal:
 
     def test_missing_file_replays_empty(self, tmp_path):
         assert JobJournal(tmp_path / "absent.jsonl").replay() == []
-
-
-# -- claim files --------------------------------------------------------------
-
-
-class TestClaimBoard:
-    def test_exactly_one_claimer_wins(self, tmp_path):
-        one = ClaimBoard(tmp_path, owner="one")
-        two = ClaimBoard(tmp_path, owner="two")
-        req = _req("T4")
-        assert one.try_claim(req)
-        assert not two.try_claim(req)
-        assert two.holder(req)["owner"] == "one"
-
-    def test_release_is_owner_checked(self, tmp_path):
-        one = ClaimBoard(tmp_path, owner="one")
-        two = ClaimBoard(tmp_path, owner="two")
-        req = _req("T4")
-        one.try_claim(req)
-        two.release(req)  # not ours: must be left alone
-        assert one.holder(req) is not None
-        one.release(req)
-        assert one.holder(req) is None
-        assert len(one) == 0
-
-    def test_stale_claim_is_stolen(self, tmp_path):
-        dead = ClaimBoard(tmp_path, owner="dead", ttl=0.01)
-        live = ClaimBoard(tmp_path, owner="live", ttl=0.01)
-        req = _req("T4")
-        dead.try_claim(req)
-        time.sleep(0.05)
-        assert live.is_stale(req)
-        assert live.steal_if_stale(req)
-        assert live.holder(req)["owner"] == "live"
-
-    def test_fresh_claim_is_not_stolen(self, tmp_path):
-        one = ClaimBoard(tmp_path, owner="one", ttl=600)
-        two = ClaimBoard(tmp_path, owner="two", ttl=600)
-        req = _req("T4")
-        one.try_claim(req)
-        assert not two.steal_if_stale(req)
-
-    def test_sweep_drops_dead_local_owners(self, tmp_path):
-        import socket as socketlib
-
-        # A pid that cannot exist stands in for a SIGKILLed daemon.
-        dead = ClaimBoard(tmp_path, owner=f"{socketlib.gethostname()}:999999999:aa")
-        dead.try_claim(_req("T4"))
-        live = ClaimBoard(tmp_path)  # default owner: this live process
-        live.try_claim(_req("T1"))
-        foreign = ClaimBoard(tmp_path, owner="elsewhere:1:bb")
-        foreign.try_claim(_req("M8"))
-        assert ClaimBoard(tmp_path).sweep_dead_owners() == 1
-        assert live.holder(_req("T4")) is None  # dead claim gone
-        assert live.holder(_req("T1")) is not None  # live claim kept
-        assert live.holder(_req("M8")) is not None  # foreign claim kept
 
 
 # -- shared options -----------------------------------------------------------
@@ -297,40 +240,6 @@ class TestScheduler:
         asyncio.run(main())
         assert ResultStore(tmp_path / "store").get(req) is not None
 
-    def test_claim_contention_two_schedulers_one_store(self, tmp_path):
-        grid = [_req(d) for d in ("T4", "T1", "M8", "I4")]
-
-        async def main():
-            one = Scheduler(
-                store=ResultStore(tmp_path),
-                claims=ClaimBoard(tmp_path / "claims", owner="one"),
-                jobs=2,
-                poll_interval=0.05,
-            )
-            two = Scheduler(
-                store=ResultStore(tmp_path),
-                claims=ClaimBoard(tmp_path / "claims", owner="two"),
-                jobs=2,
-                poll_interval=0.05,
-            )
-            await one.start()
-            await two.start()
-            jobs1 = one.submit(grid)
-            jobs2 = two.submit(grid)
-            res1 = await asyncio.gather(*(j.future for j in jobs1))
-            res2 = await asyncio.gather(*(j.future for j in jobs2))
-            await one.stop()
-            await two.stop()
-            return one, two, res1, res2
-
-        one, two, res1, res2 = asyncio.run(main())
-        # The claim board made exactly one daemon simulate each request.
-        assert one.stats.simulated + two.stats.simulated == len(grid)
-        assert one.stats.claims_stolen == two.stats.claims_stolen == 0
-        d1 = [_payload(r) for r, _source in res1]
-        d2 = [_payload(r) for r, _source in res2]
-        assert d1 == d2
-
 
 class TestEvalServer:
     def test_inflight_dedup_across_two_clients(self, tmp_path):
@@ -442,7 +351,20 @@ class TestEvalServer:
 
     @pytest.mark.parametrize(
         "field, value, name",
-        [("design", "NOPE", "NOPE"), ("mechanism", ["NoSuchTLB", []], "NoSuchTLB")],
+        [
+            ("design", "NOPE", "NOPE"),
+            ("mechanism", ["NoSuchTLB", []], "NoSuchTLB"),
+            ("mechanism", [], "mechanism"),
+            ("mechanism", ["T4"], "mechanism"),
+            ("mechanism", "x", "mechanism"),
+            ("max_instructions", -5, "max_instructions"),
+            ("max_instructions", 1.5, "max_instructions"),
+            ("max_instructions", True, "max_instructions"),
+            ("workload", 5, "workload"),
+            ("page_size", 3, "page size"),
+            ("issue_model", "bogus", "bogus"),
+            ("config", [["tlb_miss_latency", [30]]], "hashable"),
+        ],
     )
     def test_unknown_design_rejected_before_scheduling(self, tmp_path, field, value, name):
         bad = _req("T1").to_dict()
@@ -452,6 +374,71 @@ class TestEvalServer:
         assert reply["message"].startswith("bad batch:")
         assert name in reply["message"]
         assert stats.submitted == 0 and stats.simulated == 0
+
+
+class TestStoreLock:
+    """One daemon per store: a second one fails before touching it."""
+
+    def test_second_scheduler_refused_before_journal_replay(self, tmp_path):
+        store_dir = tmp_path / "store"
+
+        def scheduler() -> Scheduler:
+            return Scheduler(
+                store=ResultStore(store_dir),
+                journal=JobJournal(store_dir / "journal.jsonl"),
+                jobs=1,
+            )
+
+        async def main():
+            one = scheduler()
+            await one.start()
+            # A queued-then-done pair that compaction would erase.
+            one.journal.record_queued(_req("T4"))
+            one.journal.record_done(_req("T4"))
+            before = (store_dir / "journal.jsonl").read_bytes()
+            two = scheduler()
+            two.journal.replay = lambda: pytest.fail("replayed a held store's journal")
+            try:
+                with pytest.raises(StoreLockedError, match="already served") as info:
+                    await two.start()
+                assert str(store_dir) in str(info.value)
+                assert (store_dir / "journal.jsonl").read_bytes() == before
+            finally:
+                await one.stop()
+            three = scheduler()
+            await three.start()  # the stopped daemon released the store
+            await three.stop()
+
+        asyncio.run(main())
+
+    def test_second_server_refused_first_keeps_serving(self, tmp_path):
+        opts = EvalOptions(jobs=1, store=ResultStore(tmp_path / "store"))
+        journal = tmp_path / "store" / "journal.jsonl"
+
+        async def main():
+            addr = f"unix:{tmp_path}/one.sock"
+            first = build_server(addr, opts)
+            await first.start()
+            try:
+                client = await ServeClient.connect(addr, retry_for=5)
+                await client.results([_req("T4")])
+                before = journal.read_bytes()
+                second = build_server(f"unix:{tmp_path}/two.sock", opts)
+                with pytest.raises(StoreLockedError, match=str(tmp_path / "store")):
+                    await second.start()
+                assert journal.read_bytes() == before
+                assert not (tmp_path / "two.sock").exists()
+                results = await client.results([_req("T1")])
+                await client.close()
+            finally:
+                await first.stop()
+            again = build_server(f"unix:{tmp_path}/two.sock", opts)
+            await again.start()
+            await again.stop()
+            return results
+
+        results = asyncio.run(main())
+        assert results[0].request == _req("T1")
 
 
 def _spawn_daemon(addr: str, store: Path, artifacts: Path, jobs: int = 2):
