@@ -41,31 +41,55 @@ Packages
 ``repro.serve``      long-running evaluation daemon over the stores
 """
 
-from repro.engine import Machine, MachineConfig, SimulationResult
-from repro.eval.artifacts import ArtifactStore
-from repro.eval.options import EvalOptions
-from repro.eval.parallel import run_many
-from repro.eval.resultstore import ResultStore
-from repro.eval.runner import RunRequest, RunResult, run_one
-from repro.tlb import DESIGN_MNEMONICS, make_mechanism
-from repro.workloads import iter_workload_names, make_workload
+import importlib
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "ArtifactStore",
-    "DESIGN_MNEMONICS",
-    "EvalOptions",
-    "Machine",
-    "MachineConfig",
-    "ResultStore",
-    "RunRequest",
-    "RunResult",
-    "SimulationResult",
-    "__version__",
-    "iter_workload_names",
-    "make_mechanism",
-    "make_workload",
-    "run_many",
-    "run_one",
-]
+#: Public name -> the module that defines it.  Resolved on first
+#: attribute access (PEP 562), so ``import repro`` loads no simulator
+#: code until a name is used.
+_EXPORTS = {
+    "ArtifactStore": "repro.eval.artifacts",
+    "DESIGN_MNEMONICS": "repro.tlb",
+    "EvalOptions": "repro.eval.options",
+    "Machine": "repro.engine",
+    "MachineConfig": "repro.engine",
+    "ResultStore": "repro.eval.resultstore",
+    "RunRequest": "repro.eval.runner",
+    "RunResult": "repro.eval.runner",
+    "SimulationResult": "repro.engine",
+    "iter_workload_names": "repro.workloads",
+    "make_mechanism": "repro.tlb",
+    "make_workload": "repro.workloads",
+    "run_many": "repro.eval.parallel",
+    "run_one": "repro.eval.runner",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def _lazy_exports(namespace: dict, exports: dict[str, str]):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a facade module.
+
+    ``namespace`` is the facade's ``globals()``; ``exports`` maps each
+    public name to its defining module, imported on first access and
+    cached in ``namespace``.  ``repro`` and ``repro.eval`` both use it.
+    """
+
+    def __getattr__(name: str):
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            )
+        value = getattr(importlib.import_module(module), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *namespace["__all__"]})
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

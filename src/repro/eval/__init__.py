@@ -28,9 +28,16 @@ may shift underneath it.
 
 The evaluation *service* (:mod:`repro.serve`) plugs in here too:
 ``ServeClient``, ``run_remote``, ``server_info`` and
-``shutdown_server`` are re-exported lazily, and
+``shutdown_server`` are re-exported from :mod:`repro.serve.client`, and
 ``run_many(requests, EvalOptions(server=addr))`` transparently submits
 the grid to a running ``python -m repro.serve`` daemon.
+
+Every re-export is lazy: ``_EXPORTS`` maps each public name to its
+defining module, which is imported on first access (PEP 562).  So
+``import repro.eval`` plus :func:`code_fingerprint` loads no simulator
+code, and a worker process never pulls in the serve client's asyncio
+machinery.  (The CLIs, the daemon and its workers still import the
+runner, and with it the engine, before a store answers.)
 
 Run ``python -m repro.eval <experiment> [--jobs N] [--no-cache]
 [--server [ADDR]]`` to regenerate one experiment (``table3``,
@@ -39,53 +46,34 @@ evaluate every encoded paper claim (:mod:`repro.eval.claims`) against
 fresh simulations.
 """
 
-from repro.eval.experiments import (
-    ExperimentSpec,
-    EXPERIMENTS,
-    run_figure,
-    run_table3,
-)
-from repro.eval.artifacts import ArtifactStore
-from repro.eval.missrates import run_figure6
-from repro.eval.options import EvalOptions, add_eval_args, default_server_address
-from repro.eval.parallel import ProgressError, run_many
-from repro.eval.resultstore import ResultStore, code_fingerprint
-from repro.eval.runner import RunRequest, RunResult, run_one, simulate
-from repro.eval.weighting import normalized_rtw_average
+from repro import _lazy_exports
 
-#: The serve-side names re-exported lazily (importing them eagerly
-#: would pull asyncio machinery into every worker process).
-_SERVE_EXPORTS = ("ServeClient", "run_remote", "server_info", "shutdown_server")
+#: Public name -> the module that defines it, imported on first access.
+_EXPORTS = {
+    "ArtifactStore": "repro.eval.artifacts",
+    "EXPERIMENTS": "repro.eval.experiments",
+    "EvalOptions": "repro.eval.options",
+    "ExperimentSpec": "repro.eval.experiments",
+    "ProgressError": "repro.eval.parallel",
+    "ResultStore": "repro.eval.resultstore",
+    "RunRequest": "repro.eval.runner",
+    "RunResult": "repro.eval.runner",
+    "ServeClient": "repro.serve.client",
+    "add_eval_args": "repro.eval.options",
+    "code_fingerprint": "repro.eval.resultstore",
+    "default_server_address": "repro.eval.options",
+    "normalized_rtw_average": "repro.eval.weighting",
+    "run_figure": "repro.eval.experiments",
+    "run_figure6": "repro.eval.missrates",
+    "run_many": "repro.eval.parallel",
+    "run_one": "repro.eval.runner",
+    "run_remote": "repro.serve.client",
+    "run_table3": "repro.eval.experiments",
+    "server_info": "repro.serve.client",
+    "shutdown_server": "repro.serve.client",
+    "simulate": "repro.eval.runner",
+}
 
-__all__ = [
-    "ArtifactStore",
-    "EXPERIMENTS",
-    "EvalOptions",
-    "ExperimentSpec",
-    "ProgressError",
-    "ResultStore",
-    "RunRequest",
-    "RunResult",
-    "ServeClient",
-    "add_eval_args",
-    "code_fingerprint",
-    "default_server_address",
-    "normalized_rtw_average",
-    "run_figure",
-    "run_figure6",
-    "run_many",
-    "run_one",
-    "run_remote",
-    "run_table3",
-    "server_info",
-    "shutdown_server",
-    "simulate",
-]
+__all__ = sorted(_EXPORTS)
 
-
-def __getattr__(name: str):
-    if name in _SERVE_EXPORTS:
-        import repro.serve.client as _client
-
-        return getattr(_client, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

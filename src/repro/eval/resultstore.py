@@ -35,8 +35,10 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.eval.runner import RunRequest, RunResult
+if TYPE_CHECKING:  # the runner imports the whole simulator
+    from repro.eval.runner import RunRequest, RunResult
 
 _FINGERPRINT: str | None = None
 
@@ -155,13 +157,17 @@ class ResultStore:
 
     def get(self, req: RunRequest) -> RunResult | None:
         """The stored result for ``req``, or None (counts a hit/miss)."""
+        from repro.eval.runner import RunResult
+
         path = self.path_for(req)
         try:
             text = path.read_text()
             result = RunResult.from_dict(json.loads(text))
         except (OSError, ValueError, KeyError, TypeError):
-            # Missing or corrupt entry: treat as a miss (it will be
-            # recomputed and overwritten).
+            result = None
+        if result is None or result.request != req:
+            # Missing, corrupt or foreign entry: treat as a miss (it
+            # will be recomputed and overwritten).
             self.stats.misses += 1
             return None
         self.stats.hits += 1

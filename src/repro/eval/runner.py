@@ -27,7 +27,7 @@ import hashlib
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.caches.cache import CacheStats
 from repro.engine.config import MachineConfig
@@ -45,6 +45,9 @@ from repro.tlb.factory import (
 )
 from repro.tlb.stats import TranslationStats
 from repro.workloads import make_workload
+
+if TYPE_CHECKING:
+    from repro.eval.artifacts import ArtifactStore
 
 #: Bumped whenever the RunResult serialization layout changes.
 SCHEMA_VERSION = 2
@@ -254,14 +257,33 @@ class RunResult:
         )
 
 
-def _stats_from_dict(d: Mapping[str, Any]) -> MachineStats:
-    """Rebuild MachineStats (and its nested stat objects) from a dict."""
-    d = dict(d)
-    icache = CacheStats(**d.pop("icache", {}))
-    dcache = CacheStats(**d.pop("dcache", {}))
-    translation = TranslationStats(**d.pop("translation", {}))
+def _require_fields(cls, d: Any, what: str) -> Mapping[str, Any]:
+    """``d`` itself, once it is an object holding every field of ``cls``."""
+    if not isinstance(d, Mapping):
+        raise ValueError(f"{what} must be an object: {d!r}")
+    missing = [f.name for f in fields(cls) if f.name not in d]
+    if missing:
+        raise ValueError(f"{what} lacks field(s) {missing}")
+    return d
+
+
+def _stats_from_dict(d: Any) -> MachineStats:
+    """Rebuild MachineStats (and its nested stat objects) from a dict.
+
+    Raises ValueError unless every stat object is present and complete:
+    a damaged entry must never decode to zeroed counters.
+    """
+    d = dict(_require_fields(MachineStats, d, "stats"))
+    icache = CacheStats(**_require_fields(CacheStats, d.pop("icache"), "icache"))
+    dcache = CacheStats(**_require_fields(CacheStats, d.pop("dcache"), "dcache"))
+    translation = TranslationStats(
+        **_require_fields(TranslationStats, d.pop("translation"), "translation")
+    )
+    histogram = d.pop("translation_demand")
+    if not isinstance(histogram, Mapping):
+        raise ValueError(f"translation_demand must be an object: {histogram!r}")
     # JSON round-trips turn the demand histogram's int keys into strings.
-    demand = {int(k): v for k, v in d.pop("translation_demand", {}).items()}
+    demand = {int(k): v for k, v in histogram.items()}
     known = {f.name for f in fields(MachineStats)}
     return MachineStats(
         icache=icache,
@@ -303,9 +325,7 @@ class _BuildCache:
     #: an ingested external trace.
     programs: OrderedDict = field(default_factory=OrderedDict)
     plans: OrderedDict = field(default_factory=OrderedDict)
-    #: Optional repro.eval.artifacts.ArtifactStore (duck-typed to avoid
-    #: an import cycle: resultstore imports this module).
-    artifacts: Any = None
+    artifacts: ArtifactStore | None = None
 
     def get_trace(
         self,

@@ -49,9 +49,10 @@ class JobJournal:
     def replay(self) -> list[RunRequest]:
         """Requests queued but never marked done, in submission order.
 
-        Unreadable lines (a crash can truncate the final one) and
-        records that no longer decode into a request are skipped — a
-        lost journal line only costs a recomputation, never correctness.
+        Unreadable lines (a crash can truncate the final one), lines
+        that are not a record object with a string ``key``, and records
+        that no longer decode into a request are skipped — a lost
+        journal line only costs a recomputation, never correctness.
         """
         outstanding: dict[str, RunRequest] = {}
         try:
@@ -63,7 +64,9 @@ class JobJournal:
                 record = json.loads(line)
             except ValueError:
                 continue
-            event, key = record.get("event"), record.get("key")
+            if not isinstance(record, dict) or not isinstance(record.get("key"), str):
+                continue
+            event, key = record.get("event"), record["key"]
             if event == "queued" and key not in outstanding:
                 try:
                     outstanding[key] = RunRequest.from_dict(record["request"])

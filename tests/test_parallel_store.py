@@ -275,6 +275,31 @@ class TestParallelDeterminism:
         assert a is b
 
 
+def _without(d: dict, key: str) -> dict:
+    return {k: v for k, v in d.items() if k != key}
+
+
+#: Damaged result-store payloads, each derived from a valid entry.
+CORRUPT_ENTRIES = {
+    "stats-empty-object": lambda d: {**d, "stats": {}},
+    "stats-list": lambda d: {**d, "stats": []},
+    "stats-missing-field": lambda d: {**d, "stats": _without(d["stats"], "cycles")},
+    "demand-list": lambda d: {**d, "stats": {**d["stats"], "translation_demand": []}},
+    "demand-non-int-key": lambda d: {
+        **d, "stats": {**d["stats"], "translation_demand": {"x": 1}}
+    },
+    "icache-not-object": lambda d: {**d, "stats": {**d["stats"], "icache": 5}},
+    "dcache-empty": lambda d: {**d, "stats": {**d["stats"], "dcache": {}}},
+    "translation-missing-field": lambda d: {
+        **d,
+        "stats": {**d["stats"], "translation": _without(d["stats"]["translation"], "requests")},
+    },
+    "foreign-request": lambda d: {**d, "request": SMALL_GRID[1].to_dict()},
+    "payload-list": lambda d: [],
+    "payload-int": lambda d: 5,
+}
+
+
 class TestResultStore:
     def test_miss_then_hit(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -313,6 +338,20 @@ class TestResultStore:
         path = store.put(simulate(SMALL_GRID[0]))
         path.write_text("{not json")
         assert store.get(SMALL_GRID[0]) is None
+
+    @pytest.mark.parametrize("corrupt", CORRUPT_ENTRIES.values(), ids=CORRUPT_ENTRIES.keys())
+    def test_corrupt_payload_is_a_miss_then_overwritten(self, tmp_path, corrupt):
+        store = ResultStore(tmp_path)
+        req = SMALL_GRID[0]
+        good = simulate(req)
+        path = store.put(good)
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        assert store.get(req) is None
+        assert store.stats.misses == 1 and store.stats.hits == 0
+        result = run_one(req, store=store)
+        assert result.to_dict()["stats"] == good.to_dict()["stats"]
+        assert store.stats.puts == 2
+        assert store.get(req).to_dict()["stats"] == good.to_dict()["stats"]
 
     def test_clear(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -121,6 +121,36 @@ class TestJobJournal:
     def test_missing_file_replays_empty(self, tmp_path):
         assert JobJournal(tmp_path / "absent.jsonl").replay() == []
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "5",
+            "[]",
+            '"x"',
+            "null",
+            '{"event": "queued", "key": ["k"], "request": {}}',
+            '{"event": "done", "key": 5}',
+            '{"event": "queued", "request": {}}',
+        ],
+    )
+    def test_non_record_line_is_skipped(self, tmp_path, line):
+        journal = JobJournal(tmp_path / "store" / "journal.jsonl")
+        journal.path.parent.mkdir()
+        journal.path.write_text(line + "\n", encoding="utf-8")
+        req = _req("T4")
+        journal.record_queued(req)
+        assert journal.replay() == [req]
+
+        async def main():
+            sched = Scheduler(store=ResultStore(tmp_path / "store"), journal=journal, jobs=1)
+            assert await sched.start() == 1
+            await sched.drain()
+            await sched.stop()
+            assert sched.stats.simulated == 1
+
+        asyncio.run(main())
+        assert ResultStore(tmp_path / "store").get(req) is not None
+
 
 # -- shared options -----------------------------------------------------------
 
