@@ -21,7 +21,7 @@ import argparse
 from repro.analysis.demand import demand_profile
 from repro.analysis.reusedist import StackDistanceAnalyzer
 from repro.analysis.spatial import profile_workload
-from repro.eval.options import add_eval_args
+from repro.eval.options import add_eval_args, design_name, int_at_least, workload_name
 from repro.eval.runner import RunRequest, run_one
 from repro.ingest.build import add_trace_args, trace_workload_from_args
 from repro.func.executor import Executor
@@ -171,11 +171,11 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="one timing run")
     p_run.add_argument(
-        "workload", nargs="?", default=None,
+        "workload", nargs="?", default=None, type=workload_name,
         help="registered workload name (omit when replaying --trace)",
     )
-    p_run.add_argument("design")
-    p_run.add_argument("--insts", type=int, default=40_000)
+    p_run.add_argument("design", type=design_name)
+    p_run.add_argument("--insts", type=int_at_least(1), default=40_000)
     p_run.add_argument("--inorder", action="store_true")
     p_run.add_argument("--pages", type=int, default=4096)
     p_run.add_argument("--regs", type=int, default=32)
@@ -193,24 +193,24 @@ def main(argv: list[str] | None = None) -> int:
     add_trace_args(p_run)
 
     p_prof = sub.add_parser("profile", help="spatial locality profile")
-    p_prof.add_argument("workload")
-    p_prof.add_argument("--insts", type=int, default=60_000)
+    p_prof.add_argument("workload", type=workload_name)
+    p_prof.add_argument("--insts", type=int_at_least(1), default=60_000)
 
     p_miss = sub.add_parser("misscurve", help="exact LRU miss curve")
-    p_miss.add_argument("workload")
-    p_miss.add_argument("--insts", type=int, default=60_000)
+    p_miss.add_argument("workload", type=workload_name)
+    p_miss.add_argument("--insts", type=int_at_least(1), default=60_000)
 
     p_dem = sub.add_parser("demand", help="translation demand histogram")
-    p_dem.add_argument("workload")
-    p_dem.add_argument("design")
-    p_dem.add_argument("--insts", type=int, default=30_000)
+    p_dem.add_argument("workload", type=workload_name)
+    p_dem.add_argument("design", type=design_name)
+    p_dem.add_argument("--insts", type=int_at_least(1), default=30_000)
 
     p_dis = sub.add_parser("disasm", help="disassemble a workload")
-    p_dis.add_argument("workload")
+    p_dis.add_argument("workload", type=workload_name)
     p_dis.add_argument("--max-lines", type=int, default=80)
 
     p_ver = sub.add_parser("verify", help="lint a workload's program")
-    p_ver.add_argument("workload")
+    p_ver.add_argument("workload", type=workload_name)
     p_ver.add_argument("--regs", type=int, default=32)
 
     args = parser.parse_args(argv)

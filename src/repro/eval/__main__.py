@@ -38,7 +38,14 @@ import time
 
 from repro.eval.experiments import EXPERIMENTS, run_figure, run_table3
 from repro.eval.missrates import run_figure6
-from repro.eval.options import EvalOptions, add_eval_args
+from repro.eval.options import (
+    EvalOptions,
+    add_eval_args,
+    comma_list,
+    design_name,
+    int_at_least,
+    workload_name,
+)
 from repro.eval.report import render_figure, render_figure6, render_table3
 from repro.ingest.build import add_trace_args, trace_workload_from_args
 
@@ -76,17 +83,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--insts",
-        type=int,
+        type=int_at_least(1),
         default=60_000,
         help="dynamic instruction budget per run (default 60000)",
     )
     parser.add_argument(
         "--designs",
+        type=comma_list(design_name),
         default=None,
         help="comma-separated design subset (default: all of Table 2)",
     )
     parser.add_argument(
         "--workloads",
+        type=comma_list(workload_name),
         default=None,
         help="comma-separated workload subset (default: all ten)",
     )
@@ -105,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     if not args.screen and not args.experiment:
         parser.error("an experiment name (or --screen) is required")
 
-    workloads = args.workloads.split(",") if args.workloads else None
+    workloads = args.workloads
     if args.trace is not None:
         # An ingested trace replays as the (single) workload: the minted
         # token is an ordinary workload name to everything downstream.
@@ -170,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         )
     else:
-        designs = args.designs.split(",") if args.designs else None
+        designs = args.designs
         kwargs = dict(
             workloads=workloads,
             max_instructions=args.insts,

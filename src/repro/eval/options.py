@@ -8,7 +8,10 @@ server.  This module defines them exactly once:
 
 * :func:`add_eval_args` installs the shared argparse flags
   (``--jobs``, ``--no-cache``, ``--store``, ``--artifacts``,
-  ``--server``) on any parser;
+  ``--server``) on any parser, and :func:`int_at_least`,
+  :func:`design_name`, :func:`workload_name` and :func:`comma_list`
+  are the argparse types that reject a bad budget, worker count,
+  design or workload at parse time;
 * :class:`EvalOptions` is the resolved parameter object — the one way
   :func:`repro.eval.parallel.run_many`, the experiment drivers and the
   ablation sweeps take their engine settings;
@@ -104,6 +107,52 @@ class EvalOptions:
         return cls(jobs=jobs, store=store, artifacts=artifacts, server=server)
 
 
+def int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse ``type``: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid int value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}: {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+def design_name(text: str) -> str:
+    """An argparse ``type``: a design mnemonic, checked as ``RunRequest`` does."""
+    from repro.tlb.factory import design_builder
+
+    try:
+        design_builder(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def workload_name(text: str) -> str:
+    """An argparse ``type``: a registered workload or an ingested-trace token."""
+    from repro.ingest.build import is_trace_workload
+    from repro.workloads import iter_workload_names
+
+    known = list(iter_workload_names())
+    if text not in known and not is_trace_workload(text):
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {text!r}; known: {', '.join(known)}"
+        )
+    return text
+
+
+def comma_list(item: Callable[[str], str]) -> Callable[[str], "list[str]"]:
+    """An argparse ``type``: comma-separated values, each checked by ``item``."""
+
+    def parse(text: str) -> "list[str]":
+        return [item(part) for part in text.split(",")]
+
+    return parse
+
+
 def add_eval_args(
     parser: argparse.ArgumentParser,
     *,
@@ -121,7 +170,7 @@ def add_eval_args(
     if jobs:
         parser.add_argument(
             "--jobs",
-            type=int,
+            type=int_at_least(0),
             default=1,
             help="worker processes for the run grid (default 1 = serial; "
             "0 = one per CPU)",

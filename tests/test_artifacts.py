@@ -26,6 +26,7 @@ from repro.func.tracefile import (
     read_container,
     write_container,
 )
+from repro.tlb import DESIGN_MNEMONICS
 from repro.workloads import make_workload
 
 FAST = dict(max_instructions=2_000)
@@ -238,12 +239,15 @@ class TestBuildCacheHydration:
 
 
 class TestRequestLevelScheduling:
-    def test_single_build_grid_still_splits(self):
-        grid = [
-            RunRequest(workload="espresso", design=d, **FAST)
-            for d in ("T4", "T2", "T1", "M8", "I4", "PB1")
-        ]
-        chunks = _schedule_chunks(grid, jobs=4)
+    @pytest.mark.parametrize("jobs", [2, 4])
+    @pytest.mark.parametrize(
+        "designs",
+        [("T4", "T2", "T1", "M8", "I4", "PB1"), DESIGN_MNEMONICS],
+        ids=["six", "table2"],
+    )
+    def test_single_build_grid_still_splits(self, designs, jobs):
+        grid = [RunRequest(workload="espresso", design=d, **FAST) for d in designs]
+        chunks = _schedule_chunks(grid, jobs=jobs)
         assert len(chunks) > 1, "a one-workload grid must not collapse to one task"
         assert sorted(r.design for c in chunks for r in c) == sorted(
             r.design for r in grid
@@ -293,6 +297,8 @@ class TestRunManyWithArtifacts:
         # Every artifact now exists: the capture phase is skipped.
         again = run_many(self.GRID, EvalOptions(jobs=2, artifacts=ArtifactStore(tmp_path)))
         assert [r.to_dict() for r in again] == [r.to_dict() for r in first]
+        serial = run_many(self.GRID, EvalOptions(jobs=1))
+        assert [r.to_dict() for r in again] == [r.to_dict() for r in serial]
 
     def test_progress_reported_per_request(self, tmp_path):
         lines = []

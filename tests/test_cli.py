@@ -2,8 +2,12 @@
 
 import pytest
 
+import repro.eval.parallel
+import repro.eval.runner
 from repro.__main__ import main as repro_main
 from repro.eval.__main__ import main as eval_main
+from repro.eval.options import workload_name
+from repro.serve.__main__ import main as serve_main
 
 
 class TestReproCli:
@@ -128,3 +132,34 @@ class TestEvalCli:
         assert eval_main(argv) == 0
         assert "result store" not in capsys.readouterr().err
         assert not any(tmp_path.glob("??/*.json"))
+
+
+@pytest.mark.parametrize(
+    "cli,argv",
+    [
+        ("eval", "table3 --insts 0"),
+        ("eval", "table3 --insts many"),
+        ("eval", "table3 --jobs -2"),
+        ("eval", "figure5 --designs T4,BOGUS"),
+        ("eval", "table3 --workloads nosuch"),
+        ("repro", "run compress T4 --insts -5"),
+        ("repro", "run compress BOGUS"),
+        ("repro", "run nosuch T4"),
+        ("repro", "demand compress BOGUS"),
+        ("repro", "profile compress --insts 0"),
+        ("serve", "--jobs -2"),
+    ],
+)
+def test_bad_arguments_rejected_at_parse_time(cli, argv, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("a rejected command line simulated")
+
+    monkeypatch.setattr(repro.eval.parallel, "run_many", refuse)
+    monkeypatch.setattr(repro.eval.runner, "simulate", refuse)
+    with pytest.raises(SystemExit) as exc:
+        {"eval": eval_main, "repro": repro_main, "serve": serve_main}[cli](argv.split())
+    assert exc.value.code == 2 and "error: argument " in capsys.readouterr().err
+
+
+def test_trace_token_accepted_as_workload():
+    assert workload_name("trace:0123456789ab:x.rptx?w=0") == "trace:0123456789ab:x.rptx?w=0"

@@ -261,9 +261,10 @@ class TestRunResult:
 
 class TestParallelDeterminism:
     def test_parallel_matches_serial(self):
-        serial = run_many(SMALL_GRID, EvalOptions(jobs=1))
-        parallel = run_many(SMALL_GRID, EvalOptions(jobs=2))
-        assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
+        serial = [r.to_dict() for r in run_many(SMALL_GRID, EvalOptions(jobs=1))]
+        for jobs in (2, 4):
+            parallel = run_many(SMALL_GRID, EvalOptions(jobs=jobs))
+            assert [r.to_dict() for r in parallel] == serial, f"jobs={jobs}"
 
     def test_results_in_input_order(self):
         results = run_many(SMALL_GRID, EvalOptions(jobs=2))
@@ -317,15 +318,18 @@ class TestResultStore:
         fresh = ResultStore(tmp_path)
         assert fresh.get(SMALL_GRID[0]) is not None
 
-    def test_run_many_warm_rerun_skips_simulation(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_many_warm_rerun_skips_simulation(self, tmp_path, jobs):
         cold = ResultStore(tmp_path)
-        run_many(SMALL_GRID, EvalOptions(jobs=1, store=cold))
+        first = run_many(SMALL_GRID, EvalOptions(jobs=jobs, store=cold))
         assert cold.stats.puts == len(SMALL_GRID)
         warm = ResultStore(tmp_path)
-        results = run_many(SMALL_GRID, EvalOptions(jobs=1, store=warm))
+        results = run_many(SMALL_GRID, EvalOptions(jobs=jobs, store=warm))
         assert warm.stats.hits == len(SMALL_GRID)
         assert warm.stats.misses == 0 and warm.stats.puts == 0
-        assert all(r is not None for r in results)
+        assert [r.to_dict()["stats"] for r in results] == [
+            r.to_dict()["stats"] for r in first
+        ]
 
     def test_fingerprint_changes_invalidate(self, tmp_path):
         store = ResultStore(tmp_path, fingerprint="aaaa")
