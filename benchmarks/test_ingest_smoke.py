@@ -9,9 +9,7 @@ path.  Asserts:
 1. the headline statistics are bit-identical to the committed golden
    (``benchmarks/GOLDEN_ingest.json``);
 2. the serial, artifact-cached, and jobs=2 parallel paths all agree
-   bit-for-bit;
-3. ``REPRO_NO_NUMPY=0`` (and friends: false/no/off) verifiably leaves
-   numpy enabled — the env-flag truthiness regression.
+   bit-for-bit.
 
 Run directly (the CI ``ingest-smoke`` job)::
 
@@ -62,7 +60,6 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.analysis.reusedist import _numpy
     from repro.eval.artifacts import ArtifactStore
     from repro.eval.options import EvalOptions
     from repro.eval.parallel import run_many
@@ -132,25 +129,6 @@ def main(argv: "list[str] | None" = None) -> int:
             if dataclasses.asdict(result.stats) != full[design]:
                 failures.append(f"jobs=2/{design}: diverged from serial path")
         print("bit-identity: cached, jobs=2 agree with serial")
-
-    # 5. The env-flag truthiness regression, end to end.
-    import os
-
-    previous = os.environ.pop("REPRO_NO_NUMPY", None)
-    try:
-        numpy = _numpy()
-        for word in ("0", "false", "no", "off"):
-            os.environ["REPRO_NO_NUMPY"] = word
-            if _numpy() is not numpy:
-                failures.append(f"REPRO_NO_NUMPY={word!r} disabled numpy")
-        os.environ["REPRO_NO_NUMPY"] = "1"
-        if _numpy() is not None:
-            failures.append("REPRO_NO_NUMPY=1 failed to disable numpy")
-    finally:
-        os.environ.pop("REPRO_NO_NUMPY", None)
-        if previous is not None:
-            os.environ["REPRO_NO_NUMPY"] = previous
-    print("env gate: REPRO_NO_NUMPY=0/false/no/off keep numpy, =1 disables")
 
     if failures:
         print("\nFAIL:", file=sys.stderr)

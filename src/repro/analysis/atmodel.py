@@ -121,7 +121,7 @@ def _require_numpy():
     if np is None:
         raise RuntimeError(
             "the analytical screening model requires numpy "
-            "(unset REPRO_NO_NUMPY or install repro[fast])"
+            "(install repro[fast])"
         )
     return np
 

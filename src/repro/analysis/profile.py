@@ -437,5 +437,9 @@ def encode_profile_section(profile: AnalysisProfile) -> bytes:
 
 
 def decode_profile_section(payload: bytes) -> AnalysisProfile:
-    """Inverse of :func:`encode_profile_section` (ValueError on mismatch)."""
-    return AnalysisProfile.from_payload(json.loads(payload.decode()))
+    """Inverse of :func:`encode_profile_section` (ValueError on mismatch
+    and on any malformed payload)."""
+    try:
+        return AnalysisProfile.from_payload(json.loads(payload.decode()))
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed profile section: {exc!r}") from None

@@ -17,9 +17,9 @@ Two implementations, same exact histogram:
 * :func:`compute_stack_distances` processes a whole stream at once.
   With numpy available it runs a vectorized offline algorithm
   (previous-occurrence array via a stable argsort, then the nested-reuse
-  correction as a bottom-up merge count); without numpy — or with
-  ``REPRO_NO_NUMPY=1`` — it falls back to the streaming analyzer.  The
-  two paths are byte-identical: distances are exact integers either way.
+  correction as a bottom-up merge count); without numpy it falls back
+  to the streaming analyzer.  The two paths are byte-identical:
+  distances are exact integers either way.
 
 The vectorized identity: with ``prev[i]`` the index of the previous
 reference to ``page[i]`` (undefined on first touch), the stack distance
@@ -38,14 +38,11 @@ reshapes, per-block sorts, and one flat ``searchsorted`` per level.
 
 from __future__ import annotations
 
-from repro.env import env_bool
 from typing import Iterable, Sequence
 
 
 def _numpy():
-    """numpy, or ``None`` when absent or disabled via REPRO_NO_NUMPY."""
-    if env_bool("REPRO_NO_NUMPY"):
-        return None
+    """numpy, or ``None`` when it is not installed."""
     try:
         import numpy
     except ImportError:  # pragma: no cover - numpy is normally present
@@ -251,8 +248,7 @@ def compute_stack_distances(pages: Sequence[int]) -> list:
     """Stack distance of every reference; ``-1`` marks cold touches.
 
     Vectorized under numpy, streamed through the Fenwick analyzer
-    otherwise (``REPRO_NO_NUMPY=1`` forces the fallback); the two paths
-    produce identical integers.
+    otherwise; the two paths produce identical integers.
     """
     pages = list(pages)
     np = _numpy()

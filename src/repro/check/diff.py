@@ -9,10 +9,11 @@ twin; this module runs both sides and diffs the outcome:
   instruction/cycle is located by capturing both runs through
   :class:`~repro.engine.pipeview.PipelineTrace` and the excerpt is
   attached to the mismatch.
-* **artifacts** — the in-memory build vs. the same build round-tripped
-  through an on-disk :class:`~repro.eval.artifacts.ArtifactStore`
-  container (program, trace, and fetch plan), compared record-by-record
-  and then by running the timing machine on both sides.
+* **artifacts** — a cold build cache's fresh build vs. a fresh cache's
+  hydration of it from an on-disk
+  :class:`~repro.eval.artifacts.ArtifactStore` (program, trace, fetch
+  plan and, for an ingested trace, its provenance), compared
+  record-by-record and then by running the timing machine on both sides.
 * **functional** — final architectural state (registers, memory image,
   retired count) of the original program vs. its codec round trip, plus
   timing-vs-functional counter cross-checks (committed instructions,
@@ -34,11 +35,10 @@ import dataclasses
 import tempfile
 from dataclasses import dataclass, field
 
-from repro.engine.frontend import build_fetch_plan, fetch_config_key
 from repro.engine.machine import Machine
 from repro.engine.pipeview import PipelineTrace
 from repro.eval.artifacts import ArtifactStore
-from repro.eval.runner import RunRequest, _CACHE, simulate
+from repro.eval.runner import RunRequest, _CACHE, _BuildCache, simulate
 from repro.func.executor import run_program
 from repro.func.tracefile import decode_program, encode_program
 from repro.ingest.build import is_trace_workload
@@ -115,9 +115,7 @@ def _diff_stats(a: dict, b: dict, left: str, right: str) -> str:
 
 def _first_divergence(req: RunRequest, limit: int) -> tuple[int | None, str]:
     """Locate a loop divergence by lockstep pipeview comparison."""
-    trace = _CACHE.get_trace(
-        req.workload, req.int_regs, req.fp_regs, req.scale, req.max_instructions
-    )
+    trace = _CACHE.get_trace(*req.build_axes)
     base = req.machine_config()
     views = []
     for flag in (True, False):
@@ -187,26 +185,28 @@ def _record_fields(dyn) -> tuple:
 
 
 def _check_artifacts(req: RunRequest, mismatches: list[Mismatch]) -> None:
-    """The cached (hydrated-from-disk) path must equal the uncached one."""
-    axes = (req.workload, req.int_regs, req.fp_regs, req.scale, req.max_instructions)
-    program = _CACHE.get_program(*axes)
-    trace = _CACHE.get_trace(*axes)
+    """The cached (hydrated-from-disk) path must equal the uncached one.
+
+    Both sides are the runner's own build cache over one temporary
+    store: a cold cache builds the artifacts and writes them, a fresh
+    one (a new process stand-in) must hydrate every one of them.
+    """
+    axes = req.build_axes
     config = dataclasses.replace(req.machine_config(), sanity=False)
-    fetch_key = fetch_config_key(config)
-    plan = build_fetch_plan(trace, config)
     with tempfile.TemporaryDirectory(prefix="repro-check-") as tmp:
         store = ArtifactStore(tmp, fingerprint="check")
-        store.save_build(axes, program, trace)
-        store.save_plan(axes, fetch_key, plan)
-        hydrated = store.load_build(axes)
-        if hydrated is None:
+        cold = _BuildCache(artifacts=store)
+        trace = cold.get_trace(*axes)
+        plan = cold.get_fetch_plan(req, config, trace)
+        warm = _BuildCache(artifacts=store)
+        trace2 = warm.get_trace(*axes)
+        if store.stats.hits != 1:
             mismatches.append(
                 Mismatch("artifacts", "build artifact did not survive the store round trip")
             )
             return
-        program2, trace2 = hydrated
-        plan2 = store.load_plan(axes, fetch_key, trace2)
-    if plan2 is None:
+        plan2 = warm.get_fetch_plan(req, config, trace2)
+    if store.stats.hits != 2:
         mismatches.append(
             Mismatch("artifacts", "fetch-plan artifact did not survive the store round trip")
         )
@@ -255,12 +255,11 @@ def _check_functional(req: RunRequest, timing, mismatches: list[Mismatch]) -> No
     """Functional state must survive the program codec; timing counters
     must agree with the functional trace's population."""
     # The build cache keeps no memory images, so build one here.
-    build = make_workload(req.workload).build(
-        int_regs=req.int_regs, fp_regs=req.fp_regs, scale=req.scale
+    workload, int_regs, fp_regs, scale, _ = req.build_axes
+    build = make_workload(workload).build(
+        int_regs=int_regs, fp_regs=fp_regs, scale=scale
     )
-    trace = _CACHE.get_trace(
-        req.workload, req.int_regs, req.fp_regs, req.scale, req.max_instructions
-    )
+    trace = _CACHE.get_trace(*req.build_axes)
     program2 = decode_program(encode_program(build.program))
     original = run_program(
         build.program, build.memory.clone(), max_instructions=req.max_instructions

@@ -9,7 +9,8 @@ work.  Two artifact kinds are stored, as version-2
 
 * **build** — the generated :class:`~repro.isa.program.Program` plus its
   dynamic instruction trace, keyed on the build axes
-  ``(workload, int_regs, fp_regs, scale, max_instructions)``;
+  ``(workload, int_regs, fp_regs, scale, max_instructions)`` (see
+  :attr:`~repro.eval.runner.RunRequest.build_axes`);
 * **plan** — a per-frontend-configuration
   :class:`~repro.engine.frontend.FetchPlan`, keyed on the build axes
   plus :func:`~repro.engine.frontend.fetch_config_key`.
@@ -24,17 +25,15 @@ Layout (one container per artifact, two-hex-char shard directories)::
     <root>/ab/abcdef....rpta
 
 ``<root>`` defaults to ``$REPRO_ARTIFACT_STORE`` or
-``~/.cache/repro/artifacts``.  Writes are atomic (temp file + rename)
-so concurrent build workers and concurrent invocations can share a
-store; corrupt or wrong-version entries read as misses and are rebuilt.
+``~/.cache/repro/artifacts``.  Keys, writes and reads all go through
+:class:`~repro.eval.resultstore.Store`: writes are atomic (temp file +
+rename) so concurrent build workers and concurrent invocations can share
+a store, and corrupt or wrong-version entries read as misses and are
+rebuilt.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis.profile import (
@@ -44,7 +43,7 @@ from repro.analysis.profile import (
     encode_profile_section,
 )
 from repro.engine.frontend import FetchPlan, decode_fetch_plan, encode_fetch_plan
-from repro.eval.resultstore import code_fingerprint
+from repro.eval.resultstore import Store
 from repro.func.dyninst import DynInst
 from repro.func.tracefile import (
     SECTION_EXTERN,
@@ -62,53 +61,53 @@ from repro.func.tracefile import (
     read_container,
     write_container,
 )
+from repro.ingest.build import is_trace_workload, parse_workload
 from repro.isa.program import Program
 
 #: Build axes: (workload, int_regs, fp_regs, scale, max_instructions).
 BuildAxes = tuple
 
 
-@dataclass
-class ArtifactStats:
-    """Per-process counters of artifact traffic (the re-build audit)."""
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-
-    def render(self) -> str:
-        return f"{self.hits} hits, {self.misses} misses, {self.puts} stored"
+def _section(sections: dict[bytes, bytes], tag: bytes) -> bytes:
+    """``sections[tag]``; a container without it is malformed."""
+    if tag not in sections:
+        raise TraceFileError(f"container has no {tag.decode()} section")
+    return sections[tag]
 
 
-class ArtifactStore:
+def _build_sections(program: Program, trace: list) -> dict[bytes, bytes]:
+    return {
+        SECTION_PROGRAM: encode_program(program),
+        SECTION_TRACE: encode_trace(trace, len(program)),
+    }
+
+
+def _provenance_matches(sections: dict[bytes, bytes], token: str) -> bool:
+    """Whether the ``EXTR`` section describes the ingested ``token``.
+
+    The key already folds the token in, so a mismatch means the file on
+    disk is damaged or foreign, never that two workloads collided.
+    """
+    spec = parse_workload(token)
+    meta = decode_extern_meta(_section(sections, SECTION_EXTERN))
+    return (
+        str(meta.get("source_digest", "")).startswith(spec.digest12)
+        and meta.get("window") == spec.window.to_payload()
+    )
+
+
+class ArtifactStore(Store):
     """Persistent, content-addressed cache of builds and fetch plans."""
 
-    def __init__(self, root: "str | Path | None" = None, fingerprint: str | None = None):
-        if root is None or root == "":
-            root = os.environ.get("REPRO_ARTIFACT_STORE") or (
-                Path.home() / ".cache" / "repro" / "artifacts"
-            )
-        self.root = Path(root)
-        self.fingerprint = fingerprint or code_fingerprint()
-        self.stats = ArtifactStats()
-
-    # -- keys -----------------------------------------------------------------
-
-    def _key(self, kind: str, axes: BuildAxes, fetch_key: tuple | None = None) -> str:
-        payload = {"kind": kind, "axes": list(axes), "code": self.fingerprint}
-        if fetch_key is not None:
-            payload["fetch"] = list(fetch_key)
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode()).hexdigest()
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.rpta"
+    env_var = "REPRO_ARTIFACT_STORE"
+    leaf = "artifacts"
+    suffix = ".rpta"
 
     def build_path(self, axes: BuildAxes) -> Path:
-        return self._path(self._key("build", axes))
+        return self._path({"kind": "build", "axes": list(axes)})
 
     def plan_path(self, axes: BuildAxes, fetch_key: tuple) -> Path:
-        return self._path(self._key("plan", axes, fetch_key))
+        return self._path({"kind": "plan", "axes": list(axes), "fetch": list(fetch_key)})
 
     def has_build(self, axes: BuildAxes) -> bool:
         return self.build_path(axes).exists()
@@ -119,75 +118,36 @@ class ArtifactStore:
     # -- build artifacts ------------------------------------------------------
 
     def load_build(self, axes: BuildAxes) -> "tuple[Program, list[DynInst]] | None":
-        """Hydrate (program, trace) for ``axes``, or None on a miss."""
-        path = self.build_path(axes)
-        try:
+        """Hydrate (program, trace) for ``axes``, or None on a miss.
+
+        When ``axes`` names an ingested ``trace:`` token, the ``EXTR``
+        provenance section is verified against it: a missing or corrupt
+        section, another source digest or another window policy all
+        read as misses (the caller recompiles and overwrites).
+        """
+
+        def decode(path: Path):
             sections = read_container(path)
-            program = decode_program(sections[SECTION_PROGRAM])
-            trace = decode_trace(sections[SECTION_TRACE], program)
-        except (OSError, KeyError, TraceFileError):
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return program, trace
+            if is_trace_workload(axes[0]) and not _provenance_matches(sections, axes[0]):
+                return None
+            program = decode_program(_section(sections, SECTION_PROGRAM))
+            return program, decode_trace(_section(sections, SECTION_TRACE), program)
+
+        return self._read(self.build_path(axes), decode)
 
     def save_build(self, axes: BuildAxes, program: Program, trace: list) -> Path:
         """Persist a build artifact atomically; returns the entry's path."""
         return self._write(
-            self.build_path(axes),
-            {
-                SECTION_PROGRAM: encode_program(program),
-                SECTION_TRACE: encode_trace(trace, len(program)),
-            },
+            self.build_path(axes), write_container, _build_sections(program, trace)
         )
-
-    # -- ingested-trace builds ------------------------------------------------
-
-    def load_ingested(
-        self, axes: BuildAxes, digest_prefix: str, window_payload: dict
-    ) -> "tuple[Program, list[DynInst], dict] | None":
-        """Hydrate an ingested external-trace build, or None on a miss.
-
-        Same container family as :meth:`load_build` plus the ``EXTR``
-        provenance section, which is *verified* against the requesting
-        workload token: a missing/corrupt section, a different source
-        digest, or a different window policy all read as clean misses
-        (the caller recompiles from the portable trace and overwrites).
-        The key already folds the token in via ``axes``, so a verified
-        mismatch means the file on disk is damaged or foreign, never
-        that two workloads collided.
-        """
-        path = self.build_path(axes)
-        try:
-            sections = read_container(path)
-            meta = decode_extern_meta(sections[SECTION_EXTERN])
-            program = decode_program(sections[SECTION_PROGRAM])
-            trace = decode_trace(sections[SECTION_TRACE], program)
-        except (OSError, KeyError, TraceFileError):
-            self.stats.misses += 1
-            return None
-        if (
-            not str(meta.get("source_digest", "")).startswith(digest_prefix)
-            or not digest_prefix
-            or meta.get("window") != window_payload
-        ):
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return program, trace, meta
 
     def save_ingested(
         self, axes: BuildAxes, program: Program, trace: list, meta: dict
     ) -> Path:
         """Persist an ingested build (program + trace + provenance)."""
-        return self._write(
-            self.build_path(axes),
-            {
-                SECTION_PROGRAM: encode_program(program),
-                SECTION_TRACE: encode_trace(trace, len(program)),
-                SECTION_EXTERN: encode_extern_meta(meta),
-            },
-        )
+        sections = _build_sections(program, trace)
+        sections[SECTION_EXTERN] = encode_extern_meta(meta)
+        return self._write(self.build_path(axes), write_container, sections)
 
     # -- analysis-profile artifacts -------------------------------------------
 
@@ -202,18 +162,13 @@ class ArtifactStore:
         mismatch all read as clean misses — the caller re-profiles and
         :meth:`save_profile` overwrites the section.
         """
-        path = self.build_path(axes)
-        try:
+
+        def decode(path: Path):
             sections = read_container(path)
-            profile = decode_profile_section(sections[SECTION_PROFILE])
-        except (OSError, KeyError, ValueError, TraceFileError):
-            self.stats.misses += 1
-            return None
-        if profile.params != params:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return profile
+            profile = decode_profile_section(_section(sections, SECTION_PROFILE))
+            return profile if profile.params == params else None
+
+        return self._read(self.build_path(axes), decode)
 
     def save_profile(self, axes: BuildAxes, profile: AnalysisProfile) -> "Path | None":
         """Merge the analysis profile into the build container.
@@ -229,7 +184,7 @@ class ArtifactStore:
         except (OSError, TraceFileError):
             return None
         sections[SECTION_PROFILE] = encode_profile_section(profile)
-        return self._write(path, sections)
+        return self._write(path, write_container, sections)
 
     # -- fetch-plan artifacts -------------------------------------------------
 
@@ -237,15 +192,12 @@ class ArtifactStore:
         self, axes: BuildAxes, fetch_key: tuple, trace: list
     ) -> "FetchPlan | None":
         """Hydrate the fetch plan for ``axes`` + ``fetch_key`` over ``trace``."""
-        path = self.plan_path(axes, fetch_key)
-        try:
-            sections = read_container(path)
-            plan = decode_fetch_plan(sections[SECTION_PLAN], trace)
-        except (OSError, KeyError, TraceFileError):
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return plan
+        return self._read(
+            self.plan_path(axes, fetch_key),
+            lambda path: decode_fetch_plan(
+                _section(read_container(path), SECTION_PLAN), trace
+            ),
+        )
 
     def save_plan(self, axes: BuildAxes, fetch_key: tuple, plan: FetchPlan) -> Path:
         """Persist a fetch-plan artifact atomically."""
@@ -254,27 +206,7 @@ class ArtifactStore:
         )
         return self._write(
             self.plan_path(axes, fetch_key),
+            write_container,
             {SECTION_PLAN: encode_fetch_plan(plan, trace_length)},
         )
 
-    # -- shared plumbing ------------------------------------------------------
-
-    def _write(self, path: Path, sections: dict[bytes, bytes]) -> Path:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{path.stem}.{os.getpid()}.tmp"
-        write_container(tmp, sections)
-        os.replace(tmp, path)
-        self.stats.puts += 1
-        return path
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("??/*.rpta")) if self.root.exists() else 0
-
-    def clear(self) -> int:
-        """Delete every stored artifact; returns the number removed."""
-        removed = 0
-        if self.root.exists():
-            for path in self.root.glob("??/*.rpta"):
-                path.unlink()
-                removed += 1
-        return removed

@@ -59,12 +59,6 @@ _MAX_CHUNK = 4
 _CHUNKS_PER_JOB = 4
 
 
-def _build_key(req: RunRequest) -> tuple:
-    """Requests sharing this key share a workload build, trace, and
-    (per frontend config) fetch plan — the axes of the artifact cache."""
-    return (req.workload, req.int_regs, req.fp_regs, req.scale, req.max_instructions)
-
-
 def _estimate(req: RunRequest) -> float:
     """Relative host-cost estimate of one run (longest-first ordering).
 
@@ -90,7 +84,7 @@ def _schedule_chunks(rest: list[RunRequest], jobs: int) -> list[list[RunRequest]
     size = max(1, min(_MAX_CHUNK, math.ceil(len(rest) / (jobs * _CHUNKS_PER_JOB))))
     groups: dict[tuple, list[RunRequest]] = {}
     for req in rest:
-        groups.setdefault(_build_key(req), []).append(req)
+        groups.setdefault(req.build_axes, []).append(req)
     chunks: list[list[RunRequest]] = []
     for group in groups.values():
         ordered = sorted(group, key=_estimate, reverse=True)
@@ -121,9 +115,7 @@ def _capture_build(reps: list[RunRequest]) -> None:
     from repro.eval.runner import _CACHE
 
     for req in reps:
-        trace = _CACHE.get_trace(
-            req.workload, req.int_regs, req.fp_regs, req.scale, req.max_instructions
-        )
+        trace = _CACHE.get_trace(*req.build_axes)
         _CACHE.get_fetch_plan(req, req.machine_config(), trace)
 
 
@@ -284,7 +276,7 @@ def run_many(
     if jobs <= 1 or len(rest) <= 1:
         groups: dict[tuple, list[RunRequest]] = {}
         for req in rest:
-            groups.setdefault(_build_key(req), []).append(req)
+            groups.setdefault(req.build_axes, []).append(req)
         previous = configure_artifacts(art) if art is not None else None
         try:
             for group in groups.values():
@@ -310,7 +302,7 @@ def run_many(
             # configuration (a build can need several fetch plans).
             missing: dict[tuple, dict[tuple, RunRequest]] = {}
             for req in rest:
-                axes = _build_key(req)
+                axes = req.build_axes
                 fkey = fetch_config_key(req.machine_config())
                 if not art.has_build(axes) or not art.has_plan(axes, fkey):
                     missing.setdefault(axes, {}).setdefault(fkey, req)

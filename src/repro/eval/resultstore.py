@@ -12,7 +12,8 @@ where the fingerprint hashes every ``.py`` file under the installed
 *any* source file and the key changes — stale entries are simply never
 looked up again (prune them with :meth:`ResultStore.clear`).
 
-Layout (JSON, one file per run, two-hex-char shard directories)::
+Layout (JSON, one file per run or derived summary, two-hex-char shard
+directories)::
 
     <root>/ab/abcdef....json
 
@@ -21,10 +22,12 @@ Layout (JSON, one file per run, two-hex-char shard directories)::
 concurrent workers and concurrent CLI invocations can share a store.
 
 The sibling :mod:`repro.eval.artifacts` store applies the same keying
-discipline (content hash + :func:`code_fingerprint`) one layer down: it
-memoizes the design-independent *inputs* of a run (program, trace,
-fetch plan) rather than its outcome, so even store misses skip the
-functional re-execution.
+discipline one layer down: it memoizes the design-independent *inputs*
+of a run (program, trace, fetch plan) rather than its outcome, so even
+store misses skip the functional re-execution.  Both subclass
+:class:`Store` (here, so fingerprinting imports nothing else), which
+owns the root default, the key path, the atomic write and the one read
+path with its one miss rule.
 """
 
 from __future__ import annotations
@@ -124,117 +127,130 @@ class StoreStats:
         return f"{self.hits} hits, {self.misses} misses, {self.puts} stored"
 
 
-class ResultStore:
-    """Persistent, content-addressed map RunRequest -> RunResult."""
+class Store:
+    """The on-disk layer both stores share.
+
+    A subclass names its default root (``$<env_var>``, else
+    ``~/.cache/repro/<leaf>``) and entry suffix, and writes each public
+    read and write over :meth:`_path`, :meth:`_read` and :meth:`_write`.
+    """
+
+    env_var = ""
+    leaf = ""
+    suffix = ""
 
     def __init__(self, root: str | Path | None = None, fingerprint: str | None = None):
-        if root is None:
-            root = os.environ.get("REPRO_RESULT_STORE") or (
-                Path.home() / ".cache" / "repro" / "runstore"
+        if not root:
+            root = os.environ.get(self.env_var) or (
+                Path.home() / ".cache" / "repro" / self.leaf
             )
         self.root = Path(root)
         self.fingerprint = fingerprint or code_fingerprint()
         self.stats = StoreStats()
 
-    def key(self, req: RunRequest) -> str:
-        """The on-disk key: request content hash + code fingerprint."""
-        payload = json.dumps(
-            {"request": req.to_dict(), "code": self.fingerprint},
-            sort_keys=True,
-            separators=(",", ":"),
+    def _path(self, content: dict) -> Path:
+        """Where the entry described by ``content`` lives: the sha256 of
+        its canonical JSON plus the code fingerprint, sharded."""
+        text = json.dumps(
+            {**content, "code": self.fingerprint}, sort_keys=True, separators=(",", ":")
         )
-        return hashlib.sha256(payload.encode()).hexdigest()
+        key = hashlib.sha256(text.encode()).hexdigest()
+        return self.root / key[:2] / f"{key}{self.suffix}"
+
+    def _read(self, path: Path, decode):
+        """``decode(path)``, counted as a hit, or None, counted as a miss.
+
+        The stores' only error rule: an absent or unreadable file
+        (``OSError``) or bytes the decoder rejects (``ValueError``, as
+        :class:`~repro.func.tracefile.TraceFileError` is) is a miss, as
+        is a decoder's None for an entry that answers another question.
+        Any other exception is a bug and propagates.
+        """
+        try:
+            value = decode(path)
+        except (OSError, ValueError):
+            value = None
+        if value is None:
+            self.stats.misses += 1
+        else:
+            self.stats.hits += 1
+        return value
+
+    def _write(self, path: Path, write, data) -> Path:
+        """``write(tmp, data)``, then rename over ``path`` (atomic)."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.parent / f".{path.stem}.{os.getpid()}.tmp"
+        write(tmp, data)
+        os.replace(tmp, path)
+        self.stats.puts += 1
+        return path
+
+    def _entries(self):
+        return self.root.glob(f"??/*{self.suffix}")
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self._entries())
+
+    def clear(self) -> int:
+        """Delete every stored entry; returns the number removed."""
+        paths = list(self._entries())
+        for path in paths:
+            path.unlink()
+        return len(paths)
+
+
+def _read_json(path: Path):
+    return json.loads(path.read_text())
+
+
+def _write_json(path: Path, value) -> None:
+    path.write_text(json.dumps(value, sort_keys=True))
+
+
+class ResultStore(Store):
+    """Persistent, content-addressed map RunRequest -> RunResult."""
+
+    env_var = "REPRO_RESULT_STORE"
+    leaf = "runstore"
+    suffix = ".json"
 
     def path_for(self, req: RunRequest) -> Path:
-        key = self.key(req)
-        return self.root / key[:2] / f"{key}.json"
+        return self._path({"request": req.to_dict()})
 
     def __contains__(self, req: RunRequest) -> bool:
         return self.path_for(req).exists()
 
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("??/*.json")) if self.root.exists() else 0
-
     def get(self, req: RunRequest) -> RunResult | None:
-        """The stored result for ``req``, or None (counts a hit/miss)."""
+        """The stored result for ``req``, or None (counts a hit/miss).
+
+        An entry holding another request's result reads as a miss.
+        """
         from repro.eval.runner import RunResult
 
-        path = self.path_for(req)
-        try:
-            text = path.read_text()
-            result = RunResult.from_dict(json.loads(text))
-        except (OSError, ValueError, KeyError, TypeError):
-            result = None
-        if result is None or result.request != req:
-            # Missing, corrupt or foreign entry: treat as a miss (it
-            # will be recomputed and overwritten).
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return result
+        def decode(path: Path) -> RunResult | None:
+            result = RunResult.from_dict(_read_json(path))
+            return result if result.request == req else None
+
+        return self._read(self.path_for(req), decode)
 
     def put(self, result: RunResult) -> Path:
         """Persist ``result`` atomically; returns the entry's path."""
-        key = self.key(result.request)
-        path = self.root / key[:2] / f"{key}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = result.to_dict()
-        provenance = dict(payload.get("provenance") or {})
-        provenance["code_fingerprint"] = self.fingerprint
-        payload["provenance"] = provenance
-        tmp = path.parent / f".{key}.{os.getpid()}.tmp"
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, path)
-        self.stats.puts += 1
-        return path
-
-    def clear(self) -> int:
-        """Delete every stored entry; returns the number removed."""
-        removed = 0
-        if self.root.exists():
-            for path in self.root.glob("??/*.json"):
-                path.unlink()
-                removed += 1
-            for path in self.root.glob("aux/*.json"):
-                path.unlink()
-                removed += 1
-        return removed
+        payload["provenance"] = {
+            **payload["provenance"],
+            "code_fingerprint": self.fingerprint,
+        }
+        return self._write(self.path_for(result.request), _write_json, payload)
 
     # -- auxiliary derived results -------------------------------------------
 
-    def aux_key(self, kind: str, spec: dict) -> str:
-        """Key for a derived (non-RunResult) entry, e.g. a screen summary.
-
-        Same discipline as :meth:`key`: the canonical JSON of the
-        describing ``spec`` plus the code fingerprint, so any source
-        change or spec change invalidates the entry.
-        """
-        payload = json.dumps(
-            {"kind": kind, "spec": spec, "code": self.fingerprint},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-    def aux_path(self, kind: str, spec: dict) -> Path:
-        return self.root / "aux" / f"{self.aux_key(kind, spec)}.json"
-
-    def get_aux(self, kind: str, spec: dict) -> "dict | None":
-        """The stored derived entry for (kind, spec), or None on a miss."""
-        try:
-            value = json.loads(self.aux_path(kind, spec).read_text())
-        except (OSError, ValueError):
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return value
+    def get_aux(self, kind: str, spec: dict, decode):
+        """``decode(payload)`` of a derived (non-RunResult) entry, e.g. a
+        screen summary, keyed like a run on ``kind``, ``spec`` and the
+        code fingerprint; None on a miss."""
+        path = self._path({"kind": kind, "spec": spec})
+        return self._read(path, lambda path: decode(_read_json(path)))
 
     def put_aux(self, kind: str, spec: dict, value: dict) -> Path:
         """Persist a derived entry atomically (same layout rules as put)."""
-        path = self.aux_path(kind, spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{path.stem}.{os.getpid()}.tmp"
-        tmp.write_text(json.dumps(value, sort_keys=True))
-        os.replace(tmp, path)
-        self.stats.puts += 1
-        return path
+        return self._write(self._path({"kind": kind, "spec": spec}), _write_json, value)

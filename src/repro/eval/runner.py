@@ -157,6 +157,19 @@ class RunRequest:
         return make_mechanism(self.design, page_shift)
 
     @property
+    def build_axes(self) -> tuple:
+        """``(workload, int_regs, fp_regs, scale, max_instructions)``: all
+        a run's program, trace and fetch plans depend on, and the key of
+        the build cache and the artifact store."""
+        return (
+            self.workload,
+            self.int_regs,
+            self.fp_regs,
+            self.scale,
+            self.max_instructions,
+        )
+
+    @property
     def name(self) -> str:
         """Display name, e.g. ``xlisp/M8`` (trace tokens shortened)."""
         workload = self.workload
@@ -250,11 +263,15 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "RunResult":
-        return cls(
-            request=RunRequest.from_dict(d["request"]),
-            stats=_stats_from_dict(d["stats"]),
-            provenance=dict(d.get("provenance", {})),
-        )
+        """Inverse of :meth:`to_dict`; ValueError on any malformed payload."""
+        try:
+            return cls(
+                request=RunRequest.from_dict(d["request"]),
+                stats=_stats_from_dict(d["stats"]),
+                provenance=dict(d.get("provenance", {})),
+            )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed run result: {exc!r}") from None
 
 
 def _require_fields(cls, d: Any, what: str) -> Mapping[str, Any]:
@@ -327,47 +344,30 @@ class _BuildCache:
     plans: OrderedDict = field(default_factory=OrderedDict)
     artifacts: ArtifactStore | None = None
 
-    def get_trace(
-        self,
-        workload: str,
-        int_regs: int,
-        fp_regs: int,
-        scale: float,
-        max_instructions: int,
-    ) -> list:
-        """Materialized dynamic trace, shared across designs.
+    def get_trace(self, *axes) -> list:
+        """Materialized dynamic trace for :attr:`RunRequest.build_axes`
+        ``axes``, shared across designs.
 
         The trace depends only on the program and its inputs — not on
         the translation design, page size, or issue model — so a figure
         grid replays one functional execution under every design.
         """
-        key = (workload, int_regs, fp_regs, scale, max_instructions)
-        trace = self.traces.get(key)
+        trace = self.traces.get(axes)
         if trace is None:
-            return self._load(key)[1]
-        self.traces.move_to_end(key)
-        self.programs.move_to_end(key)
+            return self._load(axes)[1]
+        self.traces.move_to_end(axes)
+        self.programs.move_to_end(axes)
         return trace
 
-    def get_program(
-        self,
-        workload: str,
-        int_regs: int,
-        fp_regs: int,
-        scale: float,
-        max_instructions: int,
-    ):
+    def get_program(self, *axes):
         """The program :meth:`get_trace` replays for the same axes."""
-        key = (workload, int_regs, fp_regs, scale, max_instructions)
-        self.get_trace(*key)  # loads or refreshes the pair
-        return self.programs[key]
+        self.get_trace(*axes)  # loads or refreshes the pair
+        return self.programs[axes]
 
     def _load(self, key: tuple):
         """Hydrate or build ``(program, trace)`` for ``key`` and cache both."""
-        if is_trace_workload(key[0]):
-            program, trace = self._ingest(key)
-        else:
-            program, trace = self._capture(key)
+        hydrated = self.artifacts.load_build(key) if self.artifacts is not None else None
+        program, trace = hydrated or self._build(key)
         self.programs[key] = program
         self.traces[key] = trace
         while len(self.traces) > self.max_traces:
@@ -375,17 +375,29 @@ class _BuildCache:
             del self.programs[evicted]
         return program, trace
 
-    def _capture(self, key: tuple):
-        """Hydrate a synthetic workload, or build it and capture its trace.
+    def _build(self, key: tuple):
+        """Build ``(program, trace)`` and write it through to the store.
 
-        The freshly built memory image is captured in place — nothing
-        else holds it — and dropped on return.
+        A synthetic workload is built and its freshly built memory image
+        captured in place — nothing else holds it — and dropped on
+        return.  An ingested workload's token is self-describing (source
+        path + content digest + window policy), so it compiles in any
+        process that holds it — pool workers, the serve daemon — with no
+        registry handshake, and its build is stored with its provenance.
         """
         workload, int_regs, fp_regs, scale, max_instructions = key
-        if self.artifacts is not None:
-            hydrated = self.artifacts.load_build(key)
-            if hydrated is not None:
-                return hydrated
+        if is_trace_workload(workload):
+            compiled = compile_workload(
+                workload,
+                int_regs=int_regs,
+                fp_regs=fp_regs,
+                max_instructions=max_instructions,
+            )
+            if self.artifacts is not None:
+                self.artifacts.save_ingested(
+                    key, compiled.program, compiled.trace, compiled.meta
+                )
+            return compiled.program, compiled.trace
         build = make_workload(workload).build(
             int_regs=int_regs, fp_regs=fp_regs, scale=scale
         )
@@ -395,36 +407,6 @@ class _BuildCache:
         if self.artifacts is not None:
             self.artifacts.save_build(key, build.program, trace)
         return build.program, trace
-
-    def _ingest(self, key: tuple):
-        """Hydrate or compile an ingested external-trace workload.
-
-        ``key`` is the full trace axes with an ingested-workload token
-        in the workload slot.  The token is self-describing (source
-        path + content digest + window policy), so this works in any
-        process that holds it — pool workers, the serve daemon — with
-        no registry handshake.
-        """
-        workload, int_regs, fp_regs, _scale, max_instructions = key
-        spec = parse_workload(workload)
-        if self.artifacts is not None:
-            hydrated = self.artifacts.load_ingested(
-                key, spec.digest12, spec.window.to_payload()
-            )
-            if hydrated is not None:
-                program, trace, _meta = hydrated
-                return program, trace
-        compiled = compile_workload(
-            spec,
-            int_regs=int_regs,
-            fp_regs=fp_regs,
-            max_instructions=max_instructions,
-        )
-        if self.artifacts is not None:
-            self.artifacts.save_ingested(
-                key, compiled.program, compiled.trace, compiled.meta
-            )
-        return compiled.program, compiled.trace
 
     def get_fetch_plan(
         self, req: "RunRequest", config: MachineConfig, trace: list
@@ -436,20 +418,13 @@ class _BuildCache:
         the trace and the front-end slice of the machine configuration —
         the thirteen designs of a figure grid replay one plan.
         """
-        axes = (
-            req.workload,
-            req.int_regs,
-            req.fp_regs,
-            req.scale,
-            req.max_instructions,
-        )
+        axes = req.build_axes
         fetch_key = fetch_config_key(config)
         key = axes + fetch_key
         plan = self.plans.get(key)
         if plan is not None:
             self.plans.move_to_end(key)
             return plan
-        plan = None
         if self.artifacts is not None:
             plan = self.artifacts.load_plan(axes, fetch_key, trace)
         if plan is None:
@@ -496,9 +471,7 @@ def simulate(req: RunRequest, profiler=None) -> RunResult:
     ``profiler`` (a :class:`repro.perf.SimProfiler`) collects host-side
     phase timings without affecting the simulated outcome.
     """
-    trace = _CACHE.get_trace(
-        req.workload, req.int_regs, req.fp_regs, req.scale, req.max_instructions
-    )
+    trace = _CACHE.get_trace(*req.build_axes)
     config = req.machine_config()
     mech = req.make_mech(config.page_shift)
     plan = _CACHE.get_fetch_plan(req, config, trace)

@@ -296,15 +296,19 @@ class ScreenResult:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ScreenResult":
-        return cls(
-            spec=ScreenSpec.from_dict(payload["spec"]),
-            designs=int(payload["designs"]),
-            workloads=list(payload["workloads"]),
-            frontier=list(payload["frontier"]),
-            model_seconds=float(payload["model_seconds"]),
-            scores_per_sec=float(payload["scores_per_sec"]),
-            calibrations=dict(payload.get("calibrations", {})),
-        )
+        """Inverse of :meth:`to_payload`; ValueError on any malformed payload."""
+        try:
+            return cls(
+                spec=ScreenSpec.from_dict(payload["spec"]),
+                designs=int(payload["designs"]),
+                workloads=list(payload["workloads"]),
+                frontier=list(payload["frontier"]),
+                model_seconds=float(payload["model_seconds"]),
+                scores_per_sec=float(payload["scores_per_sec"]),
+                calibrations=dict(payload.get("calibrations", {})),
+            )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed screen summary: {exc!r}") from None
 
     def render(self) -> str:
         lines = [
@@ -379,16 +383,17 @@ class ScreenPipeline:
             max_instructions=self.spec.max_instructions,
         )
 
-    def _profile(self, workload: str) -> AnalysisProfile:
-        """The workload's profile, hydrated from the artifact store."""
+    def _profile(self, anchor: RunRequest) -> AnalysisProfile:
+        """The profile of the build ``anchor`` replays, hydrated from the
+        artifact store."""
         params = ProfileParams()
-        axes = (workload, 32, 32, 1.0, self.spec.max_instructions)
+        axes = anchor.build_axes
         if self.artifacts is not None:
             cached = self.artifacts.load_profile(axes, params)
             if cached is not None:
                 return cached
-        trace = _CACHE.get_trace(workload, *axes[1:])
-        profile = build_profile(trace, workload, params)
+        trace = _CACHE.get_trace(*axes)
+        profile = build_profile(trace, anchor.workload, params)
         if self.artifacts is not None:
             self.artifacts.save_profile(axes, profile)
         return profile
@@ -400,7 +405,7 @@ class ScreenPipeline:
         for w, workload in enumerate(self.workloads):
             chunk = anchor_results[w * per : (w + 1) * per]
             anchors = dict(zip(self.spec.anchors, chunk))
-            profile = self._profile(workload)
+            profile = self._profile(chunk[0].request)
             cal = atmodel.calibrate(profile, anchors)
             tick = time.perf_counter()
             pred = atmodel.predict(profile, cal, self.space)
@@ -506,9 +511,11 @@ def screen(spec: ScreenSpec, options: "EvalOptions | None" = None) -> ScreenResu
 
     options = options or EvalOptions()
     if options.store is not None:
-        cached = options.store.get_aux("screen", spec.to_dict())
+        cached = options.store.get_aux(
+            "screen", spec.to_dict(), ScreenResult.from_payload
+        )
         if cached is not None:
-            return ScreenResult.from_payload(cached)
+            return cached
     pipeline = ScreenPipeline(spec, artifacts=options.artifacts)
     anchor_results = run_many(pipeline.anchor_requests(), options)
     pipeline.calibrate(anchor_results)
@@ -540,9 +547,9 @@ async def screen_async(
             return fn(*fn_args)
 
     if store is not None:
-        cached = store.get_aux("screen", spec.to_dict())
+        cached = store.get_aux("screen", spec.to_dict(), ScreenResult.from_payload)
         if cached is not None:
-            return ScreenResult.from_payload(cached)
+            return cached
     pipeline = ScreenPipeline(spec, artifacts=artifacts)
     anchor_results = await run_requests(pipeline.anchor_requests())
     await offload(pipeline.calibrate, anchor_results)

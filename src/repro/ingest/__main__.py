@@ -83,29 +83,34 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_compile(args) -> int:
     token = trace_workload(args.input, window_from_args(args))
+    budget = args.max_instructions
+    if args.artifacts:
+        # Key the build as the runner looks it up: RunRequest's axes,
+        # with its default budget unless one is given.
+        from repro.eval.runner import RunRequest
+
+        if budget is None:
+            budget = RunRequest.max_instructions
+        axes = RunRequest(
+            token, "T4", int_regs=args.int_regs, fp_regs=args.fp_regs,
+            max_instructions=budget,
+        ).build_axes
     compiled = compile_workload(
         token,
         int_regs=args.int_regs,
         fp_regs=args.fp_regs,
-        max_instructions=args.max_instructions,
+        max_instructions=budget,
     )
     if args.artifacts:
         from repro.eval.artifacts import ArtifactStore
 
-        store = ArtifactStore(Path(args.artifacts))
-        spec = parse_workload(token)
-        store.save_ingested(
-            {
-                "workload": token,
-                "int_regs": args.int_regs,
-                "fp_regs": args.fp_regs,
-                "max_instructions": args.max_instructions,
-            },
-            compiled.program,
-            compiled.trace,
-            compiled.meta,
+        ArtifactStore(Path(args.artifacts)).save_ingested(
+            axes, compiled.program, compiled.trace, compiled.meta
         )
-        print(f"stored ingested build for {spec.display} in {args.artifacts}")
+        print(
+            f"stored ingested build for {parse_workload(token).display} "
+            f"in {args.artifacts}"
+        )
     print(
         json.dumps(
             {
@@ -161,7 +166,8 @@ def main(argv: "list[str] | None" = None) -> int:
         "--max-instructions",
         type=int,
         default=None,
-        help="truncate the sample to this many records",
+        help="truncate the sample to this many records (with --artifacts, "
+        "default: the budget runs use when they name none)",
     )
     compile_.add_argument(
         "--artifacts",

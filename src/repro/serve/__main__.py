@@ -64,10 +64,9 @@ async def amain(args: argparse.Namespace) -> int:
         from repro.ingest.build import trace_workload_from_args
 
         token = trace_workload_from_args(args)
-        default_budget = RunRequest.__dataclass_fields__["max_instructions"].default
         previous = configure_artifacts(opts.artifacts)
         try:
-            trace = _CACHE.get_trace(token, 32, 32, 1.0, default_budget)
+            trace = _CACHE.get_trace(*RunRequest(token, "T4").build_axes)
         finally:
             configure_artifacts(previous)
         print(

@@ -156,6 +156,9 @@ class EvalServer:
         """Accept one batch and stream its results as they complete."""
         batch_id = message.get("id", "")
         try:
+            version = message.get("version", protocol.PROTOCOL_VERSION)
+            if type(version) is not int or version != protocol.PROTOCOL_VERSION:
+                raise ValueError("unsupported protocol version")
             requests = [RunRequest.from_dict(d) for d in message["requests"]]
         except (KeyError, TypeError, ValueError) as exc:
             await protocol.write_message(

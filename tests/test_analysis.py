@@ -75,20 +75,12 @@ class TestStackDistance:
     @given(pages=st.lists(st.integers(0, 9), max_size=120))
     @settings(max_examples=50, deadline=None)
     def test_vectorized_and_streaming_distances_identical(self, pages):
-        import os
+        from repro.analysis import reusedist
 
-        from repro.analysis.reusedist import compute_stack_distances
-
-        vectorized = compute_stack_distances(pages)
-        prior = os.environ.get("REPRO_NO_NUMPY")
-        os.environ["REPRO_NO_NUMPY"] = "1"
-        try:
-            fallback = compute_stack_distances(pages)
-        finally:
-            if prior is None:
-                os.environ.pop("REPRO_NO_NUMPY", None)
-            else:
-                os.environ["REPRO_NO_NUMPY"] = prior
+        vectorized = reusedist.compute_stack_distances(pages)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reusedist, "_numpy", lambda: None)
+            fallback = reusedist.compute_stack_distances(pages)
         assert fallback == vectorized
 
     @given(pages=st.lists(st.integers(0, 9), max_size=120))

@@ -1,5 +1,6 @@
 """Tests for the on-disk artifact cache and request-level scheduling."""
 
+import json
 import struct
 
 import pytest
@@ -8,7 +9,7 @@ from repro.analysis.profile import ProfileParams, build_profile, encode_profile_
 from repro.engine.frontend import build_fetch_plan, encode_fetch_plan, fetch_config_key
 from repro.eval.artifacts import ArtifactStore
 from repro.eval.options import EvalOptions
-from repro.eval.parallel import _build_key, _schedule_chunks, run_many
+from repro.eval.parallel import _schedule_chunks, run_many
 from repro.eval.runner import (
     RunRequest,
     _BuildCache,
@@ -137,6 +138,34 @@ class TestProfileArtifacts:
         path.write_bytes(b"garbage" + path.read_bytes()[:32])
         assert store.load_profile(AXES, params) is None
 
+    @pytest.mark.parametrize(
+        "payload",
+        [b"[]", b"1", b'"s"', b"null", b"not json", b"\xff\xfe"],
+        ids=["list", "int", "string", "null", "not-json", "not-utf8"],
+    )
+    def test_corrupt_section_is_a_miss_then_overwritten(self, tmp_path, payload):
+        store, profile, params, _ = self._store_with_profile(tmp_path)
+        path = store.save_profile(AXES, profile)
+        sections = read_container(path)
+        sections[SECTION_PROFILE] = payload
+        write_container(path, sections)
+        assert store.load_profile(AXES, params) is None
+        assert store.stats.misses == 1 and store.stats.hits == 0
+        assert store.save_profile(AXES, profile) is not None
+        assert store.load_profile(AXES, params).to_payload() == profile.to_payload()
+
+    def test_wrong_shape_object_is_a_miss(self, tmp_path):
+        """Valid JSON of the right version but the wrong shape."""
+        store, profile, params, _ = self._store_with_profile(tmp_path)
+        path = store.save_profile(AXES, profile)
+        payload = profile.to_payload()
+        payload["streams"] = {"12": []}
+        sections = read_container(path)
+        sections[SECTION_PROFILE] = json.dumps(payload).encode()
+        write_container(path, sections)
+        assert store.load_profile(AXES, params) is None
+        assert store.stats.misses == 1
+
 
 class TestLegacyKernelSection:
     """Build containers written while a ``KERN`` (encoded replay arrays)
@@ -260,7 +289,7 @@ class TestRequestLevelScheduling:
             for d in ("T4", "T1")
         ]
         for chunk in _schedule_chunks(grid, jobs=2):
-            assert len({_build_key(r) for r in chunk}) == 1
+            assert len({r.build_axes for r in chunk}) == 1
 
     def test_longest_first_ordering(self):
         short = [RunRequest(workload="espresso", design=d, max_instructions=1_000) for d in ("T4", "T1")]
@@ -315,6 +344,6 @@ class TestRunManyWithArtifacts:
         before = _CACHE.artifacts
         results = run_many(self.GRID[:2], EvalOptions(jobs=1, artifacts=store))
         assert _CACHE.artifacts is before, "inline run must restore the attachment"
-        assert store.has_build(_build_key(self.GRID[0]))
+        assert store.has_build(self.GRID[0].build_axes)
         serial = run_many(self.GRID[:2], EvalOptions(jobs=1))
         assert [r.to_dict() for r in results] == [r.to_dict() for r in serial]

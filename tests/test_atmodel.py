@@ -9,13 +9,9 @@ it).  The full Figure-5 cross-validation lives in
 suite fast.
 """
 
-import os
-
 import pytest
 
 pytest.importorskip("numpy")
-if os.environ.get("REPRO_NO_NUMPY"):
-    pytest.skip("numpy disabled via REPRO_NO_NUMPY", allow_module_level=True)
 
 from repro.analysis import atmodel
 from repro.analysis.profile import build_profile

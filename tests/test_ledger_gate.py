@@ -6,11 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.env import env_bool
-
 pytest.importorskip("numpy")  # the gate sizes the ledger's screen space
-if env_bool("REPRO_NO_NUMPY"):
-    pytest.skip("numpy disabled via REPRO_NO_NUMPY", allow_module_level=True)
 
 _spec = importlib.util.spec_from_file_location(
     "ledger_gate", Path(__file__).resolve().parent.parent / "benchmarks" / "ledger_gate.py"

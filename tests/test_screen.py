@@ -1,12 +1,8 @@
 """Tests of the design-space screening pipeline (repro.eval.screen)."""
 
-import os
-
 import pytest
 
 np = pytest.importorskip("numpy")
-if os.environ.get("REPRO_NO_NUMPY"):
-    pytest.skip("numpy disabled via REPRO_NO_NUMPY", allow_module_level=True)
 
 from repro.analysis import atmodel
 from repro.eval.options import EvalOptions
@@ -158,3 +154,41 @@ class TestPipeline:
         assert len(reqs) == len(TINY.anchors)
         assert {r.workload for r in reqs} == {"xlisp"}
         assert all(r.max_instructions == TINY.max_instructions for r in reqs)
+
+
+#: A screen small enough to run once per corrupt-entry case.
+SMALL = ScreenSpec(
+    workloads=("xlisp",),
+    max_instructions=2_000,
+    entries=(64,),
+    multi_ports=(1,),
+    piggy_ports=(1,),
+    piggy_riders=(1,),
+    banks=(4,),
+    bank_selects=("bit",),
+    bank_riders=(0,),
+    ml_l1=(8,),
+    pret_sizes=(8,),
+    simulate=1,
+)
+
+
+class TestAuxEntries:
+    @pytest.mark.parametrize(
+        "payload", [[], {}, {"spec": 1}], ids=["list", "empty-object", "spec-int"]
+    )
+    def test_corrupt_summary_is_a_miss_then_overwritten(self, tmp_path, payload):
+        store = ResultStore(tmp_path)
+        store.put_aux("screen", SMALL.to_dict(), payload)
+        assert store.get_aux("screen", SMALL.to_dict(), ScreenResult.from_payload) is None
+        assert store.stats.misses == 1 and store.stats.hits == 0
+        result = screen(SMALL, EvalOptions(jobs=1, store=store))
+        fresh = ResultStore(tmp_path)
+        cached = fresh.get_aux("screen", SMALL.to_dict(), ScreenResult.from_payload)
+        assert cached.to_payload() == result.to_payload()
+        assert fresh.stats.hits == 1
+
+    @pytest.mark.parametrize("payload", [[], 1, "s", None, {}, {"spec": 1}])
+    def test_from_payload_raises_value_error(self, payload):
+        with pytest.raises(ValueError):
+            ScreenResult.from_payload(payload)

@@ -348,8 +348,9 @@ class TestEvalServer:
         assert results[0].request == _req("T4")
 
     @staticmethod
-    def _submit_raw(tmp_path, batch_id: str, requests: list[dict]):
-        """Submit raw request dicts; return the first reply and stats."""
+    def _submit_raw(tmp_path, batch_id: str, requests: list[dict], **fields):
+        """Submit raw request dicts (plus any extra message ``fields``);
+        return the first reply and stats."""
 
         async def main():
             addr = f"unix:{tmp_path}/s.sock"
@@ -359,7 +360,7 @@ class TestEvalServer:
                 client = await ServeClient.connect(addr, retry_for=5)
                 await protocol.write_message(
                     client._writer, client._lock,
-                    op="submit", id=batch_id, requests=requests,
+                    op="submit", id=batch_id, requests=requests, **fields,
                 )
                 reply = await asyncio.wait_for(client._replies.get(), 30)
                 await client.close()
@@ -404,6 +405,69 @@ class TestEvalServer:
         assert reply["message"].startswith("bad batch:")
         assert name in reply["message"]
         assert stats.submitted == 0 and stats.simulated == 0
+
+    @pytest.mark.parametrize("version", [0, 2, "1", None, True, 1.5])
+    def test_unsupported_protocol_version_refused(self, tmp_path, version):
+        reply, stats = self._submit_raw(
+            tmp_path, "future", [_req("T4").to_dict()], version=version
+        )
+        assert reply == {
+            "op": "error",
+            "id": "future",
+            "message": "bad batch: unsupported protocol version",
+        }
+        assert stats.submitted == 0 and stats.simulated == 0
+
+
+class TestScreenOp:
+    def test_screen_matches_local_then_hits_the_store(self, tmp_path):
+        pytest.importorskip("numpy")
+        from repro.eval.screen import ScreenSpec, screen
+
+        spec = ScreenSpec(
+            workloads=("xlisp",),
+            max_instructions=500,
+            entries=(64,),
+            multi_ports=(1,),
+            piggy_ports=(1,),
+            piggy_riders=(1,),
+            banks=(4,),
+            bank_selects=("bit",),
+            bank_riders=(0,),
+            ml_l1=(8,),
+            pret_sizes=(8,),
+            simulate=1,
+        )
+
+        async def main():
+            addr = f"unix:{tmp_path}/s.sock"
+            server = build_server(
+                addr, EvalOptions(jobs=1, store=ResultStore(tmp_path / "store"))
+            )
+            await server.start()
+            try:
+                client = await ServeClient.connect(addr, retry_for=5)
+                first = await client.screen(spec.to_dict())
+                simulated = server.scheduler.stats.simulated
+                hits = server.scheduler.store.stats.hits
+                second = await client.screen(spec.to_dict())
+                await client.close()
+            finally:
+                await server.stop()
+            return first, second, simulated, hits, server.scheduler
+
+        first, second, simulated, hits, scheduler = asyncio.run(main())
+        assert simulated > 0
+        assert second == first
+        assert scheduler.stats.simulated == simulated
+        assert scheduler.store.stats.hits == hits + 1  # the aux summary
+
+        local = screen(spec, EvalOptions(jobs=1)).to_payload()
+        # Host timings of the model pass are measurements, not results.
+        for payload in (first, local):
+            payload.pop("model_seconds")
+            payload.pop("scores_per_sec")
+        assert first == local
 
 
 class TestStoreLock:
