@@ -33,3 +33,31 @@ class XorShift32:
         if bound <= 0:
             raise ValueError(f"bound must be positive: {bound}")
         return self.next() % bound
+
+    def words(self, count: int, mask: int = 0xFFFF_FFFF) -> list[int]:
+        """The next ``count`` values of :meth:`next`, each ANDed with
+        ``mask`` (one bulk draw: the same sequence, without a method
+        call per value)."""
+        x = self.state
+        out = []
+        append = out.append
+        for _ in range(count):
+            x ^= (x << 13) & 0xFFFF_FFFF
+            x ^= x >> 17
+            x ^= (x << 5) & 0xFFFF_FFFF
+            append(x & mask)
+        self.state = x
+        return out
+
+    def shuffle(self, items: list) -> None:
+        """Fisher-Yates shuffle of ``items`` in place, drawing exactly
+        what ``below(k + 1)`` for ``k`` from ``len(items) - 1`` down to 1
+        would."""
+        x = self.state
+        for k in range(len(items) - 1, 0, -1):
+            x ^= (x << 13) & 0xFFFF_FFFF
+            x ^= x >> 17
+            x ^= (x << 5) & 0xFFFF_FFFF
+            j = x % (k + 1)
+            items[k], items[j] = items[j], items[k]
+        self.state = x

@@ -280,9 +280,8 @@ def _check_functional(req: RunRequest, timing, mismatches: list[Mismatch]) -> No
                 + "; ".join(diffs[:6]),
             )
         )
-    if original.memory._words != replayed.memory._words:
-        a, b = original.memory._words, replayed.memory._words
-        bad = sorted(k for k in set(a) | set(b) if a.get(k, 0) != b.get(k, 0))
+    bad = original.memory.diff_words(replayed.memory)
+    if bad:
         mismatches.append(
             Mismatch(
                 "functional",

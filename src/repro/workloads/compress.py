@@ -18,12 +18,15 @@ This kernel reproduces that structure:
 
 from __future__ import annotations
 
+from itertools import chain
+
 from repro.caches.replacement import XorShift32
 from repro.isa.builder import ProgramBuilder
 from repro.mem.layout import AddressSpaceLayout
 from repro.mem.memory import SparseMemory
 from repro.workloads.base import (
     Workload,
+    draws,
     fill_random_words,
     register_workload,
     scaled,
@@ -57,10 +60,15 @@ class Compress(Workload):
         # Random input bytes: incompressible, so probes stay scattered.
         fill_random_words(memory, input_buf, INPUT_BYTES // 4, rng, mask=0xFFFF_FFFF)
         # Pre-populate half the table so hit/miss branches are mixed;
-        # each populated entry has a key word and a code word.
-        for i in range(0, TABLE_ENTRIES, 2):
-            memory.store_word(table + 8 * i, rng.next() & 0xFFFF)
-            memory.store_word(table + 8 * i + 4, rng.next() & 0x7FF)
+        # each populated (even) entry has a key word and a code word.
+        entry_draws = draws(rng, TABLE_ENTRIES)
+        memory.store_words(
+            table,
+            chain.from_iterable(
+                (key & 0xFFFF, code & 0x7FF, 0, 0)
+                for key, code in zip(entry_draws, entry_draws)
+            ),
+        )
 
         symbols = scaled(5200, scale)
 

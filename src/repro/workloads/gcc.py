@@ -19,8 +19,8 @@ from repro.caches.replacement import XorShift32
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import AddrMode
 from repro.mem.layout import AddressSpaceLayout
-from repro.mem.memory import SparseMemory
-from repro.workloads.base import Workload, register_workload, scaled
+from repro.mem.memory import PAGE_WORDS, SparseMemory
+from repro.workloads.base import Workload, draws, register_workload, scaled
 
 #: Tree nodes (16 bytes each: code, left, right, value) over a 256 KB
 #: arena (64 pages at 4 KB — far beyond the small L1 TLBs' reach, mostly
@@ -50,23 +50,25 @@ class Gcc(Workload):
         scale: float,
     ) -> None:
         rng = XorShift32(0x6CC)
-        arena = layout.alloc_heap(NODES * 16)
+        arena = layout.alloc_heap(NODES * 16, align=16)
         stack = layout.alloc_stack(4 * (WALK_BUDGET * 2 + 8))
         root_table = layout.alloc_global(ROOTS * 4)
 
         # Shuffled node placement: logical node i lives at slot perm[i].
         perm = list(range(NODES))
-        for k in range(NODES - 1, 0, -1):
-            j = rng.below(k + 1)
-            perm[k], perm[j] = perm[j], perm[k]
+        rng.shuffle(perm)
 
         def addr_of(node: int) -> int:
             return arena + 16 * perm[node]
 
         # Forest in heap order: node i's children are 2i+1 and 2i+2, so
-        # every walk terminates at the frontier.
-        for i in range(NODES):
-            code = rng.below(4)  # 0/2 = binary, 1 = unary, 3 = leaf
+        # every walk terminates at the frontier.  Each node draws its
+        # code, then its value.  The arena is 16-byte aligned, so a
+        # node's four words share a page.
+        page = memory.page
+        node_draws = draws(rng, 2 * NODES)
+        for i, code_draw, value_draw in zip(range(NODES), node_draws, node_draws):
+            code = code_draw % 4  # 0/2 = binary, 1 = unary, 3 = leaf
             left = right = 0
             if code != 3 and 2 * i + 2 < NODES:
                 left = addr_of(2 * i + 1)
@@ -74,10 +76,12 @@ class Gcc(Workload):
             else:
                 code = 3
             a = addr_of(i)
-            memory.store_word(a, code)
-            memory.store_word(a + 4, left)
-            memory.store_word(a + 8, right)
-            memory.store_word(a + 12, rng.next() & 0xFFFF)
+            slots = page(a)
+            slot = (a >> 2) & (PAGE_WORDS - 1)
+            slots[slot] = code
+            slots[slot + 1] = left
+            slots[slot + 2] = right
+            slots[slot + 3] = value_draw & 0xFFFF
 
         # Root table: logical nodes 0..ROOTS-1 have the deepest subtrees.
         for k in range(ROOTS):

@@ -22,6 +22,7 @@ from repro.mem.layout import AddressSpaceLayout
 from repro.mem.memory import SparseMemory
 from repro.workloads.base import (
     Workload,
+    draws,
     fill_random_words,
     register_workload,
     scaled,
@@ -60,10 +61,10 @@ class MpegPlay(Workload):
         fill_random_words(memory, residual, RESIDUAL_WORDS, rng, mask=0x1F)
         # Motion vectors: byte offsets into the reference frame, scattered
         # over its whole extent (block-aligned).
-        for i in range(1024):
-            memory.store_word(
-                motion + 4 * i, (rng.below(FRAME_WORDS - BLOCK_WORDS)) * 4 & ~31
-            )
+        memory.store_words(
+            motion,
+            ((v % (FRAME_WORDS - BLOCK_WORDS)) * 4 & ~31 for v in draws(rng, 1024)),
+        )
 
         blocks = scaled(3200, scale)
 

@@ -16,13 +16,15 @@ dispatch, exactly like a threaded interpreter.
 
 from __future__ import annotations
 
+from itertools import chain, islice
+
 from repro.caches.replacement import XorShift32
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import AddrMode
 from repro.isa.program import Program
 from repro.mem.layout import AddressSpaceLayout
 from repro.mem.memory import SparseMemory
-from repro.workloads.base import Workload, register_workload, scaled
+from repro.workloads.base import Workload, draws, register_workload, scaled
 
 #: VM opcodes.  OP_JUMP is a *conditional* backward jump (pops its
 #: condition); OP_LOOP unconditionally restarts the bytecode program.
@@ -33,6 +35,33 @@ BYTECODE_OPS = 4096
 
 #: Hash table words for OP_HASH (scattered lookups over 512 KB).
 HASH_WORDS = 1 << 17
+
+
+def _bytecode(rng: XorShift32):
+    """Synthesize a valid bytecode program, word by word: ops keep the
+    VM stack depth in [2, 64]; every op is (opcode word, operand word)."""
+    depth = 0
+    for i in range(BYTECODE_OPS):
+        if i >= BYTECODE_OPS - 2:
+            op = OP_LOOP  # wrap to the start
+        elif depth < 3:
+            op = OP_PUSH
+        elif depth > 60:
+            op = rng.below(2) + OP_HASH  # HASH or DROP shrink/keep
+        else:
+            op = rng.below(6)
+            if op == OP_JUMP and i % 5:
+                op = OP_HASH  # keep jumps rare-ish, hashes common
+        operand = rng.next() & 0xFFFF
+        if op == OP_JUMP:
+            # Conditional jumps land backwards within 256 ops.
+            operand = max(0, i - 1 - rng.below(256))
+        yield op
+        yield operand
+        if op == OP_PUSH or op == OP_DUP:
+            depth += 1
+        elif op in (OP_ADD, OP_DROP, OP_JUMP):
+            depth -= 1
 
 
 @register_workload
@@ -55,33 +84,13 @@ class Perl(Workload):
         hash_tab = layout.alloc_heap(HASH_WORDS * 4)
         self._dispatch_addr = dispatch
 
-        # Synthesize a valid bytecode program: ops keep the VM stack
-        # depth in [2, 64]; every op is (opcode word, operand word).
-        depth = 0
-        for i in range(BYTECODE_OPS):
-            if i >= BYTECODE_OPS - 2:
-                op = OP_LOOP  # wrap to the start
-            elif depth < 3:
-                op = OP_PUSH
-            elif depth > 60:
-                op = rng.below(2) + OP_HASH  # HASH or DROP shrink/keep
-            else:
-                op = rng.below(6)
-                if op == OP_JUMP and i % 5:
-                    op = OP_HASH  # keep jumps rare-ish, hashes common
-            operand = rng.next() & 0xFFFF
-            if op == OP_JUMP:
-                # Conditional jumps land backwards within 256 ops.
-                operand = max(0, i - 1 - rng.below(256))
-            memory.store_word(bytecode + 8 * i, op)
-            memory.store_word(bytecode + 8 * i + 4, operand)
-            if op == OP_PUSH or op == OP_DUP:
-                depth += 1
-            elif op in (OP_ADD, OP_DROP, OP_JUMP):
-                depth -= 1
-
-        for w in range(0, HASH_WORDS, 3):
-            memory.store_word(hash_tab + 4 * w, rng.next() & 0xFFFF)
+        memory.store_words(bytecode, _bytecode(rng))
+        # Every third hash-table word holds a key.
+        keys = draws(rng, len(range(0, HASH_WORDS, 3)), 0xFFFF)
+        memory.store_words(
+            hash_tab,
+            islice(chain.from_iterable((key, 0, 0) for key in keys), HASH_WORDS),
+        )
 
         steps = scaled(7000, scale)
 

@@ -18,6 +18,7 @@ arithmetic is the classic four-multiply butterfly.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from repro.caches.replacement import XorShift32
 from repro.isa.builder import ProgramBuilder
@@ -67,21 +68,12 @@ class Tfft(Workload):
         # FFT codes precompute.  Entries are point indices bit-reversed
         # within POINTS_LOG2 bits.
         brt = layout.alloc_heap(points * 4)
-        bits = POINTS_LOG2
-        rev = 0
-        for idx in range(points):
-            memory.store_word(brt + 4 * idx, rev)
-            # Increment ``rev`` as a reversed counter.
-            bit = 1 << (bits - 1)
-            while rev & bit:
-                rev ^= bit
-                bit >>= 1
-            rev |= bit
+        memory.store_words(brt, _bit_reversed(POINTS_LOG2))
         # Twiddle factors: cos/sin pairs.
-        for k in range(TWIDDLES):
-            angle = -2.0 * math.pi * k / (2 * TWIDDLES)
-            memory.store_word(twiddle + 8 * k, math.cos(angle))
-            memory.store_word(twiddle + 8 * k + 4, math.sin(angle))
+        angles = (-2.0 * math.pi * k / (2 * TWIDDLES) for k in range(TWIDDLES))
+        memory.store_words(
+            twiddle, chain.from_iterable((math.cos(a), math.sin(a)) for a in angles)
+        )
 
         # Butterflies per stage, sized so a run covers the big strides.
         per_stage = scaled(280, scale)
@@ -205,3 +197,17 @@ class Tfft(Workload):
                 b.sfw(aim, pb, 4)
                 b.addi(i, i, 1)
         b.halt()
+
+
+def _bit_reversed(bits: int):
+    """``0 .. 2**bits - 1``, each bit-reversed within ``bits`` bits, in
+    counting order (a reversed counter)."""
+    rev = 0
+    top = 1 << (bits - 1)
+    for _ in range(1 << bits):
+        yield rev
+        bit = top
+        while rev & bit:
+            rev ^= bit
+            bit >>= 1
+        rev |= bit

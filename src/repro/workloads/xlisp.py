@@ -18,12 +18,14 @@ The kernel interleaves three phases, like a running interpreter:
 
 from __future__ import annotations
 
+from itertools import islice
+
 from repro.caches.replacement import XorShift32
 from repro.isa.builder import ProgramBuilder
 from repro.isa.instructions import AddrMode
 from repro.mem.layout import AddressSpaceLayout
-from repro.mem.memory import SparseMemory
-from repro.workloads.base import Workload, register_workload, scaled
+from repro.mem.memory import PAGE_WORDS, SparseMemory
+from repro.workloads.base import Workload, draws, register_workload, scaled
 
 #: Cons cells (8 bytes each -> 512 KB arena: inside the 128-entry TLB's
 #: reach, but scattered enough to thrash the small L1 TLBs).
@@ -54,15 +56,18 @@ class Xlisp(Workload):
         freelist_head_addr = layout.alloc_global(8)
 
         # Shuffled free list threading every cell (fragmented-heap order):
-        # cell.cdr = next free cell.
+        # cell.cdr = next free cell.  A cell is 8-byte aligned, so its
+        # car and cdr share a page.
         order = list(range(CELLS))
-        for k in range(CELLS - 1, 0, -1):
-            j = rng.below(k + 1)
-            order[k], order[j] = order[j], order[k]
-        for idx in range(CELLS - 1):
-            a = arena + 8 * order[idx]
-            memory.store_word(a, rng.next() & 0xFF)  # car: small datum
-            memory.store_word(a + 4, arena + 8 * order[idx + 1])  # cdr
+        rng.shuffle(order)
+        page = memory.page
+        cars = draws(rng, CELLS - 1, 0xFF)  # car: small datum
+        for car, here, there in zip(cars, order, islice(order, 1, None)):
+            a = arena + 8 * here
+            slots = page(a)
+            slot = (a >> 2) & (PAGE_WORDS - 1)
+            slots[slot] = car
+            slots[slot + 1] = arena + 8 * there  # cdr
         last = arena + 8 * order[-1]
         memory.store_word(last, 1)
         memory.store_word(last + 4, arena + 8 * order[0])  # circular

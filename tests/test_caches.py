@@ -34,6 +34,33 @@ class TestXorShift:
             counts[rng.below(8)] += 1
         assert min(counts) > 800  # each bucket within ~20% of fair share
 
+    @pytest.mark.parametrize("seed", [1, 0x115B, 0xFFFF_FFFF, 0x1234_5678])
+    @pytest.mark.parametrize("count", [0, 1, 7, 1024, 3000])
+    @pytest.mark.parametrize("mask", [0xFF, 0x7FF, 0xFFFF, 0xFFFF_FFFF])
+    def test_words_equals_next_loop(self, seed, count, mask):
+        bulk, loop = XorShift32(seed), XorShift32(seed)
+        assert bulk.words(count, mask) == [loop.next() & mask for _ in range(count)]
+        assert bulk.state == loop.state  # later draws agree too
+        assert bulk.next() == loop.next()
+
+    def test_words_default_mask_is_full_width(self):
+        bulk, loop = XorShift32(9), XorShift32(9)
+        assert bulk.words(50) == [loop.next() for _ in range(50)]
+
+    @pytest.mark.parametrize("seed", [1, 0x6CC, 0x115B, 0xFFFF_FFFF])
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 100, 4096])
+    def test_shuffle_equals_below_loop(self, seed, size):
+        bulk, loop = XorShift32(seed), XorShift32(seed)
+        shuffled = list(range(size))
+        bulk.shuffle(shuffled)
+        expected = list(range(size))
+        for k in range(size - 1, 0, -1):
+            j = loop.below(k + 1)
+            expected[k], expected[j] = expected[j], expected[k]
+        assert shuffled == expected
+        assert bulk.state == loop.state
+        assert bulk.next() == loop.next()
+
 
 class TestCacheGeometry:
     def test_sets_computed(self):

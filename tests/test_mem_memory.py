@@ -78,19 +78,23 @@ class TestBulkAndClone:
         assert m.load_word(0) == 7
         assert c.load_word(0) == 9
 
-    def test_footprint_counts_distinct_words(self):
+    def test_store_words_straddles_pages(self):
         m = SparseMemory()
-        m.store_word(0, 1)
-        m.store_word(0, 2)
-        m.store_word(4, 3)
-        assert m.footprint_words() == 2
+        m.store_words(4096 - 8, iter([1, 2, 0x1_0000_0003, 4.5]))
+        assert [m.load_word(4096 - 8 + 4 * i) for i in range(4)] == [1, 2, 3, 4.5]
+        assert m.load_word(4096 + 8) == 0
 
-    def test_contains(self):
+    def test_diff_words(self):
         m = SparseMemory()
-        m.store_word(0x20, 1)
-        assert 0x20 in m
-        assert 0x23 in m  # same word
-        assert 0x24 not in m
+        m.store_words(0xFFC, [5, 6])
+        c = m.clone()
+        assert m.diff_words(c) == []
+        c.store_word(0x1000, 0)  # a stored zero equals an absent word
+        c.store_word(0x5000, 0)
+        assert m.diff_words(c) == [0x1000]
+        assert c.diff_words(m) == [0x1000]
+        m.store_word(0x9000, 1.0)
+        assert m.diff_words(c) == [0x1000, 0x9000]
 
 
 class TestProperties:
@@ -131,3 +135,91 @@ class TestProperties:
             reference[addr] = value
         for addr in range(64):
             assert m.load_byte(addr) == reference[addr]
+
+
+#: Word addresses spread over several pages, biased to page edges so
+#: bulk runs straddle page boundaries.
+_PAGE_BASES = [0, 4096, 2 * 4096, 9 * 4096, 0x7FFFF * 4096]
+_word_addrs = st.builds(
+    lambda base, slot: base + 4 * slot,
+    st.sampled_from(_PAGE_BASES),
+    st.one_of(st.integers(0, 1023), st.integers(1016, 1023), st.integers(0, 7)),
+)
+_ints = st.integers(min_value=0, max_value=(1 << 40) - 1)
+_floats = st.floats(allow_nan=False, allow_infinity=False, width=32)
+_values = st.one_of(_ints, _floats)
+_ops = st.one_of(
+    st.tuples(st.just("word"), _word_addrs, _values),
+    st.tuples(st.just("byte"), _word_addrs, st.integers(0, 3), st.integers(0, 255)),
+    st.tuples(st.just("bulk"), _word_addrs, st.lists(_values, max_size=40)),
+    st.tuples(st.just("fill"), _word_addrs, st.integers(0, 1500), _ints),
+)
+
+
+def _apply(m: SparseMemory, model: dict, op) -> None:
+    """Apply one store to the paged memory and to a plain dict model."""
+    kind, addr = op[0], op[1]
+
+    def store(a, v):
+        model[a] = v & 0xFFFF_FFFF if isinstance(v, int) else v
+
+    if kind == "word":
+        m.store_word(addr, op[2])
+        store(addr, op[2])
+    elif kind == "byte":
+        lane, value = op[2], op[3]
+        word = model.get(addr, 0)
+        if isinstance(word, float):
+            with pytest.raises(MemoryError_):
+                m.store_byte(addr + lane, value)
+        else:
+            m.store_byte(addr + lane, value)
+            store(addr, (word & ~(0xFF << 8 * lane)) | (value << 8 * lane))
+    elif kind == "bulk":
+        m.store_words(addr, op[2])
+        for i, v in enumerate(op[2]):
+            store(addr + 4 * i, v)
+    else:  # a long run from a generator, as the workload fills write
+        count, seed = op[2], op[3]
+        m.store_words(addr, (seed + 7 * i for i in range(count)))
+        for i in range(count):
+            store(addr + 4 * i, seed + 7 * i)
+
+
+def _assert_matches(m: SparseMemory, model: dict, probes) -> None:
+    for a in probes:
+        expected = model.get(a, 0)
+        got = m.load_word(a)
+        assert got == expected and type(got) is type(expected), hex(a)
+        for lane in range(4):
+            if isinstance(expected, float):
+                with pytest.raises(MemoryError_):
+                    m.load_byte(a + lane)
+            else:
+                assert m.load_byte(a + lane) == (expected >> 8 * lane) & 0xFF
+
+
+class TestPagedReferenceModel:
+    @given(ops=st.lists(_ops, max_size=30), split=st.integers(0, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dict_model(self, ops, split):
+        m, model = SparseMemory(), {}
+        for op in ops[:split]:
+            _apply(m, model, op)
+        copy, snapshot = m.clone(), dict(model)
+        for op in ops[split:]:
+            _apply(m, model, op)
+        probes = set(model) | set(snapshot)
+        probes |= {a + d for a in list(probes) for d in (-4, 4)}
+        probes = {a for a in probes if a >= 0}
+        _assert_matches(m, model, probes)
+        # The clone kept the image as it was when it was taken.
+        _assert_matches(copy, snapshot, probes)
+        differ = sorted(
+            a for a in probes if model.get(a, 0) != snapshot.get(a, 0)
+        )
+        assert m.diff_words(copy) == differ
+        assert copy.diff_words(m) == differ
+        assert (m.diff_words(copy) == []) == all(
+            model.get(a, 0) == snapshot.get(a, 0) for a in probes
+        )

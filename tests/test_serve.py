@@ -19,6 +19,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.eval.options import (
     DEFAULT_SERVER_ADDRESS,
@@ -76,6 +78,78 @@ class TestParseAddress:
     def test_garbage_port_raises(self):
         with pytest.raises(protocol.ProtocolError):
             protocol.parse_address("host:not-a-port")
+
+
+def _read_lines(data: bytes, limit: int = 64) -> list:
+    """Feed ``data`` then EOF to a ``StreamReader(limit=limit)`` and read
+    messages until ``None`` or the first error; return what was read
+    (the error, if any, last)."""
+
+    async def main():
+        reader = asyncio.StreamReader(limit=limit)
+        reader.feed_data(data)
+        reader.feed_eof()
+        out = []
+        while True:
+            try:
+                message = await protocol.read_message(reader)
+            except protocol.ProtocolError as exc:
+                out.append(exc)
+                return out
+            out.append(message)
+            if message is None:
+                return out
+
+    return asyncio.run(main())
+
+
+class TestReadMessage:
+    def test_message_then_eof(self):
+        assert _read_lines(b'{"op":"ping"}\n') == [{"op": "ping"}, None]
+
+    def test_truncated_final_line_reads_as_eof(self):
+        assert _read_lines(b'{"op":"ping"}\n{"op":') == [{"op": "ping"}, None]
+
+    @pytest.mark.parametrize("tail", [b"\n", b""])
+    def test_line_over_the_stream_limit(self, tail):
+        got = _read_lines(b'{"op":"' + b"x" * 100 + b'"}' + tail)
+        assert len(got) == 1 and isinstance(got[0], protocol.ProtocolError)
+        assert "stream limit" in str(got[0])
+
+    def test_nested_past_the_recursion_limit(self):
+        got = _read_lines(b"[" * 100_000 + b"\n", limit=protocol.STREAM_LIMIT)
+        assert len(got) == 1 and isinstance(got[0], protocol.ProtocolError)
+        assert "nested too deeply" in str(got[0])
+
+    @pytest.mark.parametrize(
+        "line", [b"not json\n", b"[1,2]\n", b'{"id":1}\n', b"\xff\xfe\x00\n"]
+    )
+    def test_other_bad_lines(self, line):
+        got = _read_lines(line)
+        assert len(got) == 1 and isinstance(got[0], protocol.ProtocolError)
+
+    @given(
+        line=st.one_of(
+            st.binary(max_size=200),
+            st.recursive(
+                st.one_of(st.none(), st.integers(), st.text(max_size=5)),
+                lambda inner: st.one_of(
+                    st.lists(inner, max_size=3),
+                    st.dictionaries(st.sampled_from(["op", "id", "x"]), inner, max_size=3),
+                ),
+                max_leaves=12,
+            ).map(lambda v: json.dumps(v).encode()),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_line_is_a_message_eof_or_protocol_error(self, line):
+        got = _read_lines(line + b"\n")
+        first = got[0]
+        assert (
+            first is None
+            or isinstance(first, protocol.ProtocolError)
+            or (isinstance(first, dict) and "op" in first)
+        )
 
 
 # -- journal ------------------------------------------------------------------
@@ -346,6 +420,30 @@ class TestEvalServer:
 
         results = asyncio.run(main())
         assert results[0].request == _req("T4")
+
+    def test_deeply_nested_line_gets_error_and_daemon_keeps_serving(self, tmp_path):
+        async def main():
+            addr = f"unix:{tmp_path}/s.sock"
+            server = build_server(addr, EvalOptions(jobs=1, store=None))
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_unix_connection(
+                    f"{tmp_path}/s.sock", limit=protocol.STREAM_LIMIT
+                )
+                writer.write(b"[" * 100_000 + b"\n")
+                await writer.drain()
+                reply = await asyncio.wait_for(protocol.read_message(reader), 30)
+                writer.close()
+                other = await ServeClient.connect(addr, retry_for=5)
+                pong = await asyncio.wait_for(other._request("ping", ("pong",)), 30)
+                await other.close()
+            finally:
+                await server.stop()
+            return reply, pong
+
+        reply, pong = asyncio.run(main())
+        assert reply["op"] == "error" and "nested too deeply" in reply["message"]
+        assert pong == {"op": "pong"}
 
     @staticmethod
     def _submit_raw(tmp_path, batch_id: str, requests: list[dict], **fields):

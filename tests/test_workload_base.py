@@ -35,6 +35,24 @@ class TestHelpers:
         values = [mem.load_word(0x1000 + 4 * i) for i in range(64)]
         assert all(isinstance(v, float) and 0.0 < v <= 1.0 for v in values)
 
+    @pytest.mark.parametrize("count", [1, 1023, 1024, 2500])
+    def test_fills_draw_the_per_word_sequence(self, count):
+        """Page-at-a-time bulk fills equal one ``next()`` per word, also
+        from a base that is not page-aligned."""
+        base = 0x1FF8
+        ints, floats = SparseMemory(), SparseMemory()
+        fill_random_words(ints, base, count, XorShift32(5), mask=0x7FF)
+        fill_float_words(floats, base, count, XorShift32(5))
+        rng = XorShift32(5)
+        expected = [rng.next() for _ in range(count)]
+        assert [ints.load_word(base + 4 * i) for i in range(count)] == [
+            v & 0x7FF for v in expected
+        ]
+        assert [floats.load_word(base + 4 * i) for i in range(count)] == [
+            ((v & 0xFFFF) + 1) / 65536.0 for v in expected
+        ]
+        assert ints.load_word(base + 4 * count) == 0
+
 
 class TestWorkloadClass:
     def test_construct_is_abstract(self):
@@ -75,4 +93,4 @@ class TestWorkloadClass:
         build = make_workload("espresso").build()
         assert build.name == "espresso"
         assert len(build.program) > 0
-        assert build.memory.footprint_words() > 0
+        assert build.memory.diff_words(SparseMemory())  # some word is nonzero

@@ -1,11 +1,44 @@
 """Tests for the ten synthetic workloads."""
 
+import hashlib
+
 import pytest
 
 from repro.func.executor import Executor
+from repro.mem.memory import PAGE_SHIFT, SparseMemory
 from repro.workloads import iter_workload_names, make_workload
 
 ALL = list(iter_workload_names())
+
+#: sha256 of each workload's initialized image (see :func:`_image_digest`)
+#: at full scale and register budget, computed when images were still
+#: held as one dict entry per word: the paged store and the bulk draws
+#: that fill it must reproduce them exactly.
+IMAGE_SHA256 = {
+    "compress": "3c91004a302485f54c6bb972e906ab9b5f9d552db9fbf0391aa3366e6e99b7f8",
+    "doduc": "a3e2b3f53f0bbe230752460da4ea12294b332347f3868a87fe78792cde97daa9",
+    "espresso": "9a02c4696b6606f01e819b08f7884e3c3ef0094746ce978c472d7deccbf0222b",
+    "gcc": "e948859a6ed51e0361056b6e9ba3c68666dba4c93085353f255b5aaa50e7f090",
+    "ghostscript": "d35fb8245f6140a1b16ed5418a6cb4d7f825dc67cf0be2d4c1900f7c2c0f8eb7",
+    "mpeg_play": "170cfef1a54b472f7ec181cedb00fa40a5b4296d50e95578fdd69ddc9095e113",
+    "perl": "3af0a0beb74b32db1a300146ad3bc3c57ee2410b3e2dbb0f81e00e72713e0580",
+    "tfft": "c8380c0588c91af39bc602eebd49f50fa2dbf364889a56de4c11427cc110eafd",
+    "tomcatv": "afab4361676a18b114b9f17502854cf000736ccff2d494f99b53712710c1ab9e",
+    "xlisp": "bd70e4a36db70a8f9c5ee2e643ee9050d1241b84e69eb674203d307d82b2a26d",
+}
+
+
+def _image_digest(memory: SparseMemory) -> str:
+    """sha256 over the sorted ``(address, type name, value)`` of every
+    word that is nonzero or a float (tfft's twiddles store float zeros,
+    which must not silently become int zeros)."""
+    words = sorted(
+        ((number << PAGE_SHIFT) + 4 * slot, type(value).__name__, value)
+        for number, page in memory._pages.items()
+        for slot, value in enumerate(page)
+        if value != 0 or isinstance(value, float)
+    )
+    return hashlib.sha256(repr(words).encode()).hexdigest()
 
 
 def _mix(build, budget=20_000):
@@ -85,7 +118,11 @@ class TestEveryWorkload:
         a = make_workload(name).build()
         b = make_workload(name).build()
         assert len(a.program) == len(b.program)
-        assert a.memory.footprint_words() == b.memory.footprint_words()
+        assert a.memory.diff_words(b.memory) == []
+        assert a.memory.diff_words(SparseMemory())  # the image is not empty
+
+    def test_image_digest_pinned(self, name):
+        assert _image_digest(make_workload(name).build().memory) == IMAGE_SHA256[name]
 
 
 class TestRegimes:
