@@ -11,15 +11,13 @@ Run directly (the CI ``screen-smoke`` job)::
 
     PYTHONPATH=src python benchmarks/test_screen_smoke.py
 
-Honors ``REPRO_SCREEN_WORKLOADS`` (comma-separated; default a 3-workload
-slice covering the pointer-chasing, integer, and dense-loop regimes) and
-``REPRO_BENCH_INSTS`` (default 60000, the budget the committed accuracy
-numbers in docs/performance.md were measured at).
+It checks a 3-workload slice covering the pointer-chasing, integer and
+dense-loop regimes (:data:`WORKLOADS`) at :data:`INSTS`, the budget the
+committed accuracy numbers in docs/performance.md were measured at.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -32,6 +30,8 @@ if str(SRC) not in sys.path:
 #: The committed per-workload accuracy bound (see docs/performance.md).
 MAE_BOUND = 0.10
 TOP_K = 3
+INSTS = 60_000
+WORKLOADS = ["xlisp", "espresso", "tomcatv"]
 
 
 def main() -> int:
@@ -43,27 +43,24 @@ def main() -> int:
     from repro.eval.screen import ScreenSpec, screen
     from repro.tlb.factory import DESIGN_MNEMONICS
 
-    insts = int(os.environ.get("REPRO_BENCH_INSTS", 60_000))
-    workloads = os.environ.get("REPRO_SCREEN_WORKLOADS", "xlisp,espresso,tomcatv")
-    workloads = [w for w in workloads.split(",") if w]
-
     failures = []
     with tempfile.TemporaryDirectory(prefix="repro-screen-smoke-") as td:
         store = ResultStore(Path(td) / "store")
 
         def req_for(workload, mnemonic):
             if mnemonic.upper() in DESIGN_MNEMONICS:
-                return RunRequest.create(workload, mnemonic, max_instructions=insts)
+                return RunRequest.create(workload, mnemonic, max_instructions=INSTS)
             single = atmodel.mnemonic_space([mnemonic])
             return RunRequest.create(
                 workload,
                 mnemonic,
                 mechanism=single.mechanism_spec(0),
-                max_instructions=insts,
+                max_instructions=INSTS,
             )
 
-        for workload in workloads:
-            trace = _CACHE.get_trace(workload, 32, 32, 1.0, insts)
+        for workload in WORKLOADS:
+            axes = RunRequest(workload, "T4", max_instructions=INSTS).build_axes
+            trace = _CACHE.get_trace(*axes)
             profile = build_profile(trace, workload)
             results = {
                 d: run_one(req_for(workload, d), store=store)
@@ -99,8 +96,8 @@ def main() -> int:
 
         # End-to-end: a small screen whose frontier re-simulates cleanly.
         spec = ScreenSpec(
-            workloads=(workloads[0],),
-            max_instructions=insts,
+            workloads=(WORKLOADS[0],),
+            max_instructions=INSTS,
             entries=(64, 128, 256),
             simulate=3,
         )

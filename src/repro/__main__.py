@@ -22,9 +22,8 @@ from repro.analysis.demand import demand_profile
 from repro.analysis.reusedist import StackDistanceAnalyzer
 from repro.analysis.spatial import profile_workload
 from repro.eval.options import add_eval_args, design_name, int_at_least, workload_name
-from repro.eval.runner import RunRequest, run_one
+from repro.eval.runner import _CACHE, RunRequest, run_one
 from repro.ingest.build import add_trace_args, trace_workload_from_args
-from repro.func.executor import Executor
 from repro.tlb.factory import DESIGN_MNEMONICS, EXTENSION_MNEMONICS
 from repro.workloads import iter_workload_names, make_workload
 
@@ -114,10 +113,9 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_misscurve(args) -> int:
-    build = make_workload(args.workload).build()
     analyzer = StackDistanceAnalyzer()
-    executor = Executor(build.program, build.memory)
-    for dyn in executor.run(max_instructions=args.insts):
+    req = RunRequest(args.workload, "T4", max_instructions=args.insts)
+    for dyn in _CACHE.get_trace(*req.build_axes):
         if dyn.ea is not None:
             analyzer.touch(dyn.ea >> 12)
     print(f"exact LRU miss curve — {args.workload} "

@@ -16,9 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.func.executor import Executor
-from repro.workloads import make_workload
-
 
 @dataclass
 class SpatialProfile:
@@ -62,9 +59,13 @@ def profile_workload(
     fp_regs: int = 32,
     scale: float = 1.0,
 ) -> SpatialProfile:
-    """Run a workload functionally and profile its reference stream."""
-    build = make_workload(workload).build(int_regs=int_regs, fp_regs=fp_regs, scale=scale)
-    executor = Executor(build.program, build.memory)
+    """Profile a workload's reference stream (its build-cache trace)."""
+    from repro.eval.runner import _CACHE, RunRequest
+
+    req = RunRequest(
+        workload, "T4", int_regs=int_regs, fp_regs=fp_regs, scale=scale,
+        max_instructions=max_instructions,
+    )
     profile = SpatialProfile(workload=workload)
 
     pages: set[int] = set()
@@ -77,7 +78,7 @@ def profile_workload(
     window: list[int] = []
     groups = uniform_groups = 0
 
-    for dyn in executor.run(max_instructions=max_instructions):
+    for dyn in _CACHE.get_trace(*req.build_axes):
         if dyn.ea is None:
             continue
         profile.references += 1

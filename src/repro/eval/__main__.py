@@ -2,13 +2,21 @@
 
 Usage::
 
+    python -m repro.eval all [--jobs 2] [--store DIR]  # rewrite results/
     python -m repro.eval table3 [--insts N] [--jobs N] [--no-cache]
     python -m repro.eval figure5 [--insts N] [--designs T4,T1,M8] [--jobs 4]
     python -m repro.eval figure6 [--insts N]
     python -m repro.eval figure7|figure8|figure9 ...
     python -m repro.eval scorecard [--jobs 4]
+    python -m repro.eval ablation_page_size [--workloads ...]
     python -m repro.eval --screen [--workloads ...] [--simulate N]
     python -m repro.eval figure5 --server            # use a running daemon
+
+Every experiment is an entry of :data:`RESULTS`, named after the file it
+writes under ``results/``, and runs by default at the instruction budget
+that file was generated at: ``python -m repro.eval figure5`` prints
+``results/figure5.txt``.  ``all`` regenerates every entry into
+``results/`` in one process, so the grids share one result store.
 
 Timing grids fan out across ``--jobs`` worker processes (scheduled at
 request granularity, longest runs first) and memoize every run in the
@@ -35,8 +43,9 @@ import argparse
 import dataclasses
 import sys
 import time
+from pathlib import Path
 
-from repro.eval.experiments import EXPERIMENTS, run_figure, run_table3
+from repro.eval.experiments import run_figure, run_table3
 from repro.eval.missrates import run_figure6
 from repro.eval.options import (
     EvalOptions,
@@ -47,7 +56,58 @@ from repro.eval.options import (
     workload_name,
 )
 from repro.eval.report import render_figure, render_figure6, render_table3
+from repro.eval.sensitivity import ALL_SWEEPS
 from repro.ingest.build import add_trace_args, trace_workload_from_args
+
+
+#: Every committed ``results/<stem>.txt`` and the dynamic instruction
+#: budget per run it was generated at.  The stems are the CLI's
+#: experiment names (:func:`_render` runs one).
+RESULTS: dict[str, int] = {
+    "table3": 40_000,
+    "figure5": 40_000,
+    "figure6": 60_000,
+    "figure7": 40_000,
+    "figure8": 40_000,
+    "figure9": 40_000,
+    "scorecard": 20_000,
+    **{f"ablation_{name}": 40_000 for name in sorted(ALL_SWEEPS)},
+}
+
+
+def _render(stem: str, insts: int, workloads, designs, opts: EvalOptions) -> str:
+    """Run the experiment ``stem`` names; return its rendered text."""
+    if stem == "table3":
+        return render_table3(run_table3(
+            workloads=workloads, max_instructions=insts, options=opts
+        ))
+    if stem == "figure6":
+        # Trace-driven: no timing grid, so the engine options do not apply.
+        return render_figure6(run_figure6(workloads=workloads, max_instructions=insts))
+    if stem == "scorecard":
+        from repro.eval.claims import run_scorecard
+
+        return run_scorecard(
+            max_instructions=insts, workloads=workloads, options=opts
+        ).render()
+    if stem.startswith("ablation_"):
+        sweep = ALL_SWEEPS[stem.removeprefix("ablation_")]
+        return sweep(workloads=workloads, max_instructions=insts, options=opts).render()
+    chosen = {} if designs is None else {"designs": designs}
+    return render_figure(run_figure(
+        stem, workloads=workloads, max_instructions=insts, options=opts, **chosen
+    ))
+
+
+def _write_all(opts: EvalOptions) -> None:
+    """Regenerate every :data:`RESULTS` entry into ``results/``."""
+    out = Path("results")
+    out.mkdir(exist_ok=True)
+    for stem, insts in RESULTS.items():
+        started = time.time()
+        (out / f"{stem}.txt").write_text(_render(stem, insts, None, None, opts) + "\n")
+        print(f"[{out / stem}.txt regenerated in {time.time() - started:.1f}s]",
+              file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,19 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.eval",
         description="Regenerate a table/figure from Austin & Sohi (ISCA '96).",
     )
-    parser.add_argument(
-        "experiment",
-        nargs="?",
-        choices=[
-            "table3",
-            "figure5",
-            "figure6",
-            "figure7",
-            "figure8",
-            "figure9",
-            "scorecard",
-        ],
-    )
+    parser.add_argument("experiment", nargs="?", choices=[*RESULTS, "all"])
     parser.add_argument(
         "--screen",
         action="store_true",
@@ -84,8 +132,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--insts",
         type=int_at_least(1),
-        default=60_000,
-        help="dynamic instruction budget per run (default 60000)",
+        default=None,
+        help="dynamic instruction budget per run (default: the "
+        "experiment's results/ budget; 60000 with --screen)",
     )
     parser.add_argument(
         "--designs",
@@ -113,23 +162,23 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--screen replaces the experiment argument")
     if not args.screen and not args.experiment:
         parser.error("an experiment name (or --screen) is required")
+    if args.experiment == "all":
+        for flag in ("insts", "workloads", "designs", "trace"):
+            if getattr(args, flag) is not None:
+                parser.error(f"all regenerates results/ at its own budgets; "
+                             f"--{flag} does not apply")
+    if args.insts is None:
+        args.insts = RESULTS.get(args.experiment, 60_000)
 
     workloads = args.workloads
     if args.trace is not None:
         # An ingested trace replays as the (single) workload: the minted
         # token is an ordinary workload name to everything downstream.
-        if args.experiment == "figure6":
-            parser.error("figure6 re-runs the functional simulator; an "
-                         "ingested trace has none (--trace does not apply)")
         if workloads:
             parser.error("--trace and --workloads are mutually exclusive")
         workloads = [trace_workload_from_args(args)]
     progress = None if args.quiet else lambda msg: print(f"  .. {msg}", file=sys.stderr)
-    if args.experiment == "figure6":
-        # Figure 6 is trace-driven: the engine knobs do not apply.
-        opts = EvalOptions()
-    else:
-        opts = dataclasses.replace(EvalOptions.from_args(args), progress=progress)
+    opts = dataclasses.replace(EvalOptions.from_args(args), progress=progress)
     if args.profile:
         if args.experiment in ("figure6", "scorecard"):
             print(f"[--profile is not supported for {args.experiment}; ignoring]",
@@ -159,36 +208,10 @@ def main(argv: list[str] | None = None) -> int:
         else:
             result = screen(spec, opts)
         print(result.render())
-    elif args.experiment == "scorecard":
-        from repro.eval.claims import run_scorecard
-
-        result = run_scorecard(
-            max_instructions=args.insts,
-            workloads=workloads,
-            options=opts,
-        )
-        print(result.render())
-    elif args.experiment == "table3":
-        print(render_table3(run_table3(
-            workloads=workloads, max_instructions=args.insts, options=opts
-        )))
-    elif args.experiment == "figure6":
-        print(
-            render_figure6(
-                run_figure6(workloads=workloads, max_instructions=max(args.insts, 120_000))
-            )
-        )
+    elif args.experiment == "all":
+        _write_all(opts)
     else:
-        designs = args.designs
-        kwargs = dict(
-            workloads=workloads,
-            max_instructions=args.insts,
-            options=opts,
-        )
-        if designs is not None:
-            kwargs["designs"] = designs
-        result = run_figure(args.experiment, **kwargs)
-        print(render_figure(result))
+        print(_render(args.experiment, args.insts, workloads, args.designs, opts))
     if opts.profiler is not None:
         print(f"\n{opts.profiler.render()}", file=sys.stderr)
     what = args.experiment or "screen"

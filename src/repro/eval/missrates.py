@@ -7,7 +7,9 @@ entry points use random replacement (as the base TLBs do).  The "RTW
 Avg" line is the run-time weighted average over all benchmarks.
 
 This is a trace-driven study — no timing machinery — so it is fast even
-at large instruction budgets.
+at large instruction budgets.  It reads each workload's dynamic trace
+from the build cache (:mod:`repro.eval.runner`), the same trace the
+timing runs replay, so an ingested ``trace:`` workload works too.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.func.executor import Executor
+from repro.eval.runner import _CACHE, RunRequest
 from repro.tlb.storage import FullyAssocTLB
-from repro.workloads import iter_workload_names, make_workload
+from repro.workloads import iter_workload_names
 
 #: The paper's TLB size sweep and the policy used at each point.
 SIZES: tuple[int, ...] = (4, 8, 16, 32, 64, 128)
@@ -48,12 +50,14 @@ def measure_miss_rates(
     scale: float = 1.0,
 ) -> MissRateRow:
     """Drive one workload's reference stream through the size sweep."""
-    build = make_workload(workload).build(int_regs=int_regs, fp_regs=fp_regs, scale=scale)
+    req = RunRequest(
+        workload, "T4", int_regs=int_regs, fp_regs=fp_regs, scale=scale,
+        max_instructions=max_instructions,
+    )
     page_shift = page_size.bit_length() - 1
     tlbs = [FullyAssocTLB(size, replacement=policy_for(size)) for size in sizes]
-    executor = Executor(build.program, build.memory)
     references = 0
-    for dyn in executor.run(max_instructions=max_instructions):
+    for dyn in _CACHE.get_trace(*req.build_axes):
         if dyn.ea is None:
             continue
         references += 1

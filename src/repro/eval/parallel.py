@@ -35,8 +35,11 @@ while remaining safe across concurrent invocations (writes are atomic).
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
+import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from multiprocessing.connection import wait as wait_ready
 from typing import Callable, Iterable
 
 from repro.engine.frontend import fetch_config_key
@@ -96,8 +99,24 @@ def _schedule_chunks(rest: list[RunRequest], jobs: int) -> list[list[RunRequest]
 # -- worker entry points ------------------------------------------------------
 
 
+def _exit_with_parent(sentinel: int) -> None:
+    """Block until the parent process dies, then end this worker."""
+    wait_ready([sentinel])
+    os._exit(1)
+
+
 def _init_worker(artifact_root: "str | None") -> None:
-    """Pool initializer: attach the shared on-disk artifact store."""
+    """Pool initializer: die with the parent, attach the artifact store.
+
+    A pool worker idles on its call queue, which a parent killed by
+    SIGKILL never closes; the watch thread ends the worker as soon as
+    the parent's sentinel reports its death.
+    """
+    threading.Thread(
+        target=_exit_with_parent,
+        args=(multiprocessing.parent_process().sentinel,),
+        daemon=True,
+    ).start()
     if artifact_root is not None:
         from repro.eval.artifacts import ArtifactStore
 

@@ -67,7 +67,7 @@ def render_figure6(result: Figure6Result) -> str:
     ]
     for row in result.rows:
         rates = " ".join(f"{100 * row.miss_rate[s]:8.2f}" for s in sizes)
-        lines.append(f"  {row.program:12s}{rates}")
+        lines.append(f"  {_workload_label(row.program):12s}{rates}")
     rtw = " ".join(f"{100 * result.rtw_average[s]:8.2f}" for s in sizes)
     lines.append(f"  {'RTW Avg':12s}{rtw}")
     lines.append("")

@@ -115,8 +115,8 @@ class Scheduler:
         root = str(self.artifacts.root) if self.artifacts is not None else None
         # spawn, not fork: forked workers would inherit every accepted
         # client socket, holding connections open past a daemon kill
-        # (clients would never see EOF); spawned workers also exit on
-        # their own when the daemon dies and the call queue breaks.
+        # (clients would never see EOF).  Workers exit with the daemon,
+        # even a SIGKILLed one, through _init_worker's watch thread.
         self._pool = ProcessPoolExecutor(
             max_workers=self.jobs,
             mp_context=multiprocessing.get_context("spawn"),

@@ -1,13 +1,21 @@
 """Tests for both command-line interfaces."""
 
+from pathlib import Path
+
 import pytest
 
+import repro.eval.__main__ as eval_cli
 import repro.eval.parallel
 import repro.eval.runner
 from repro.__main__ import main as repro_main
 from repro.eval.__main__ import main as eval_main
+from repro.eval.missrates import run_figure6
+from repro.eval.report import render_figure6
+from repro.eval.sensitivity import ALL_SWEEPS
 from repro.eval.options import workload_name
 from repro.serve.__main__ import main as serve_main
+
+RESULTS_DIR = Path(__file__).resolve().parents[1] / "results"
 
 
 class TestReproCli:
@@ -76,9 +84,44 @@ class TestEvalCli:
         assert "T4" in out and "T1" in out
 
     def test_figure6(self, capsys):
-        # figure6 clamps the budget upward internally; keep workloads few.
+        # No --insts: figure6 runs at its results/ budget (60,000); keep
+        # workloads few.
         assert eval_main(["figure6", "--workloads", "espresso,doduc"]) == 0
         assert "RTW Avg" in capsys.readouterr().out
+
+    def test_figure6_honours_insts(self, capsys):
+        assert eval_main(["figure6", "--insts", "5000", "--workloads", "espresso"]) == 0
+        expected = render_figure6(run_figure6(["espresso"], max_instructions=5000))
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_results_table_covers_every_committed_file(self):
+        committed = {path.stem for path in RESULTS_DIR.glob("*.txt")}
+        assert set(eval_cli.RESULTS) == committed
+        assert {f"ablation_{name}" for name in ALL_SWEEPS} <= set(eval_cli.RESULTS)
+
+    def test_all_writes_each_table_entry(self, capsys, monkeypatch, tmp_path):
+        tiny = {"table3": 500, "figure6": 500}
+        monkeypatch.setattr(eval_cli, "RESULTS", tiny)
+        monkeypatch.chdir(tmp_path)
+        assert eval_main(["all", "--no-cache", "--quiet"]) == 0
+        written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+        assert written == [Path("results/figure6.txt"), Path("results/table3.txt")]
+        capsys.readouterr()
+        for stem in tiny:
+            assert eval_main([stem, "--insts", "500", "--no-cache", "--quiet"]) == 0
+            assert (tmp_path / "results" / f"{stem}.txt").read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag", ["--insts 5", "--workloads espresso", "--designs T1", "--trace x.ndjson"]
+    )
+    def test_all_rejects_budget_and_grid_flags(self, flag, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("a rejected command line simulated")
+
+        monkeypatch.setattr(eval_cli, "_write_all", refuse)
+        with pytest.raises(SystemExit) as exc:
+            eval_main(["all", *flag.split()])
+        assert exc.value.code == 2
 
     def test_parallel_jobs_identical_output(self, capsys, tmp_path):
         argv = [

@@ -574,11 +574,13 @@ class TestTopLevelCli:
         with pytest.raises(SystemExit):
             repro_main(["run", "xlisp", "M8", "--trace", str(trace_file)])
 
-    def test_eval_figure6_rejects_trace(self, trace_file):
+    def test_eval_figure6_over_trace(self, trace_file, capsys):
         from repro.eval.__main__ import main as eval_main
 
-        with pytest.raises(SystemExit):
-            eval_main(["figure6", "--trace", str(trace_file)])
+        code = eval_main(["figure6", "--trace", str(trace_file), "--insts", "1000"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "ext@" in out and "RTW Avg" in out
 
     def test_eval_figure5_over_trace(self, trace_file, capsys):
         from repro.eval.__main__ import main as eval_main

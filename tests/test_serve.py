@@ -711,3 +711,49 @@ class TestKillRecovery:
         # Served results are bit-identical to the local engine.
         reference = run_many(grid, EvalOptions(jobs=1))
         assert [_payload(r) for r in results] == [_payload(r) for r in reference]
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_sigkill_takes_the_worker_pool_down(self, tmp_path):
+        addr = f"unix:{tmp_path}/s.sock"
+        daemon = _spawn_daemon(addr, tmp_path / "store", tmp_path / "artifacts")
+        try:
+            # Two requests put both spawn workers to work.
+            run_many([_req("T4"), _req("T1")], EvalOptions(server=addr))
+            children = _children(daemon.pid)
+            os.kill(daemon.pid, signal.SIGKILL)
+            daemon.wait(timeout=15)
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()
+
+        assert len(children) >= 2, "the daemon's pool workers were not found"
+        deadline = time.monotonic() + 10
+        while any(_alive(pid) for pid in children) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in children if _alive(pid)]
+
+
+def _proc_stat(pid) -> list[str]:
+    """``/proc/<pid>/stat`` fields after the command name (state, ppid, ...)."""
+    return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+
+
+def _children(pid: int) -> set[int]:
+    """Pids whose parent is ``pid``."""
+    found = set()
+    for entry in Path("/proc").iterdir():
+        try:
+            if entry.name.isdigit() and int(_proc_stat(entry.name)[1]) == pid:
+                found.add(int(entry.name))
+        except OSError:
+            pass  # exited while we looked
+    return found
+
+
+def _alive(pid: int) -> bool:
+    """Running, not exited (an unreaped zombie has exited)."""
+    try:
+        return _proc_stat(pid)[0] != "Z"
+    except OSError:
+        return False
