@@ -4,8 +4,9 @@ Boots a real ``python -m repro.serve`` daemon on a temporary store,
 submits a small grid through the public client API (``run_many`` with a
 server address), checks the streamed results are bit-identical to the
 local engine, checks that a second daemon on the same store is refused
-at startup, drives the ``python -m repro.eval --server`` CLI path, and
-shuts the daemon down cleanly.
+at startup, drives the ``python -m repro.eval --server`` CLI path for a
+figure and for a screen (which needs numpy), and shuts the daemon down
+cleanly.
 
 Run directly (the CI ``serve-smoke`` job)::
 
@@ -111,6 +112,35 @@ def main() -> int:
             assert cli.returncode == 0, cli.stderr
             assert "T4" in cli.stdout, cli.stdout
             print("CLI --server path ok")
+
+            # A screen over the daemon: its anchor and frontier batches
+            # are served, the model runs here.  Every rendered line but
+            # the first (model timings) equals a local screen's.
+            screen_args = [
+                sys.executable, "-m", "repro.eval", "--screen",
+                "--workloads", "espresso",
+                "--insts", "2000",
+                "--simulate", "1",
+                "--quiet",
+            ]
+            served_screen, local_screen = [
+                subprocess.run(
+                    screen_args + extra,
+                    env=_daemon_env(),
+                    capture_output=True,
+                    text=True,
+                    timeout=600,
+                )
+                for extra in (["--server", address], ["--store", f"{td}/local-store"])
+            ]
+            for run in (served_screen, local_screen):
+                assert run.returncode == 0, run.stderr
+            served_lines = served_screen.stdout.splitlines()
+            assert len(served_lines) > 2, served_screen.stdout
+            assert served_lines[1:] == local_screen.stdout.splitlines()[1:], (
+                served_screen.stdout, local_screen.stdout,
+            )
+            print("CLI --screen --server path ok, frontier identical to local")
 
             shutdown_server(address)
             code = daemon.wait(timeout=30)

@@ -211,84 +211,87 @@ class DesignSpace:
         shift = int(self.page_shift[i])
         return core if shift == 12 else f"{core}@{shift}"
 
-    def mechanism_spec(self, i: int) -> "tuple[str, tuple] | None":
+    def mechanism_spec(self, i: int) -> "tuple[str, tuple]":
         """Declarative mechanism spec of design ``i`` for a RunRequest."""
         fam = int(self.family[i])
-        if fam == FAMILY_MULTI:
-            return (
-                "MultiPortedTLB",
-                (("ports", int(self.ports[i])), ("entries", int(self.entries[i]))),
-            )
-        if fam == FAMILY_PIGGY:
-            return (
-                "PiggybackTLB",
-                (
-                    ("ports", int(self.ports[i])),
-                    ("piggyback_ports", int(self.riders[i])),
-                    ("entries", int(self.entries[i])),
-                ),
-            )
-        if fam == FAMILY_INTER:
-            return (
-                "InterleavedTLB",
-                (
-                    ("banks", int(self.banks[i])),
-                    ("entries", int(self.entries[i])),
-                    ("select", "xor" if self.xor_select[i] else "bit"),
-                    ("piggyback_per_bank", int(self.riders[i])),
-                ),
-            )
-        if fam == FAMILY_MULTILEVEL:
-            return (
-                "MultiLevelTLB",
-                (
-                    ("l1_entries", int(self.shield_entries[i])),
-                    ("l2_entries", int(self.entries[i])),
-                    ("l2_ports", int(self.ports[i])),
-                ),
-            )
-        if fam == FAMILY_PRETRANS:
-            return (
-                "PretranslationMechanism",
-                (
-                    ("cache_entries", int(self.shield_entries[i])),
-                    ("base_entries", int(self.entries[i])),
-                    ("base_ports", int(self.ports[i])),
-                ),
-            )
-        if fam == FAMILY_PERFECT:
-            return ("PerfectTLB", ())
-        raise ValueError(f"unknown family code {fam}")
+        if fam not in FAMILY_SPECS:
+            raise ValueError(f"unknown family code {fam}")
+        name, args = FAMILY_SPECS[fam]
+        pairs = []
+        for arg, column in args:
+            value = int(getattr(self, column)[i])
+            pairs.append((arg, _SELECTS[value] if arg == "select" else value))
+        return (name, tuple(pairs))
 
 
-#: The Table 2 mnemonics (plus PERFECT) as model rows.
-_MNEMONIC_ROWS = {
-    "T4": {"family": FAMILY_MULTI, "ports": 4, "entries": 128},
-    "T2": {"family": FAMILY_MULTI, "ports": 2, "entries": 128},
-    "T1": {"family": FAMILY_MULTI, "ports": 1, "entries": 128},
-    "M16": {"family": FAMILY_MULTILEVEL, "ports": 1, "entries": 128, "shield_entries": 16},
-    "M8": {"family": FAMILY_MULTILEVEL, "ports": 1, "entries": 128, "shield_entries": 8},
-    "M4": {"family": FAMILY_MULTILEVEL, "ports": 1, "entries": 128, "shield_entries": 4},
-    "P8": {"family": FAMILY_PRETRANS, "ports": 1, "entries": 128, "shield_entries": 8},
-    "I8": {"family": FAMILY_INTER, "banks": 8, "entries": 128},
-    "I4": {"family": FAMILY_INTER, "banks": 4, "entries": 128},
-    "X4": {"family": FAMILY_INTER, "banks": 4, "entries": 128, "xor_select": 1},
-    "PB2": {"family": FAMILY_PIGGY, "ports": 2, "riders": 2, "entries": 128},
-    "PB1": {"family": FAMILY_PIGGY, "ports": 1, "riders": 3, "entries": 128},
-    "I4/PB": {"family": FAMILY_INTER, "banks": 4, "entries": 128, "riders": 3},
-    "PERFECT": {"family": FAMILY_PERFECT},
-    # Anchor-only extension: a capacity-starved multi-ported point.
-    "T4E16": {"family": FAMILY_MULTI, "ports": 4, "entries": 16},
+#: Each family's mechanism class, and which constructor argument each of
+#: its row columns holds — the one map between model rows and mechanism
+#: specs, read one way by :meth:`DesignSpace.mechanism_spec` and the
+#: other by :func:`spec_row`.  ``select`` is the one non-integer
+#: argument: the ``xor_select`` column indexes :data:`_SELECTS`.
+FAMILY_SPECS: dict[int, tuple[str, tuple[tuple[str, str], ...]]] = {
+    FAMILY_MULTI: ("MultiPortedTLB", (("ports", "ports"), ("entries", "entries"))),
+    FAMILY_PIGGY: (
+        "PiggybackTLB",
+        (("ports", "ports"), ("piggyback_ports", "riders"), ("entries", "entries")),
+    ),
+    FAMILY_INTER: (
+        "InterleavedTLB",
+        (
+            ("banks", "banks"),
+            ("entries", "entries"),
+            ("select", "xor_select"),
+            ("piggyback_per_bank", "riders"),
+        ),
+    ),
+    FAMILY_MULTILEVEL: (
+        "MultiLevelTLB",
+        (("l1_entries", "shield_entries"), ("l2_entries", "entries"), ("l2_ports", "ports")),
+    ),
+    FAMILY_PRETRANS: (
+        "PretranslationMechanism",
+        (("cache_entries", "shield_entries"), ("base_entries", "entries"), ("base_ports", "ports")),
+    ),
+    FAMILY_PERFECT: ("PerfectTLB", ()),
 }
+
+_SELECTS = ("bit", "xor")
+
+#: Calibration anchors the model uses beyond the factory's designs: a
+#: capacity-starved multi-ported point.
+ANCHOR_SPECS = {"T4E16": ("MultiPortedTLB", (("ports", 4), ("entries", 16)))}
+
+
+def spec_row(spec) -> dict:
+    """The model row of a declarative mechanism spec (the inverse of
+    :meth:`DesignSpace.mechanism_spec`).
+
+    Arguments the row has no column for are not read; ValueError when
+    no family models the spec's class or the spec lacks a row argument.
+    """
+    name, kwargs = spec
+    kwargs = dict(kwargs)
+    family = next((f for f, (cls, _) in FAMILY_SPECS.items() if cls == name), None)
+    if family is None:
+        raise ValueError(f"the analytical model has no family for {name}")
+    row = {"family": family}
+    for arg, column in FAMILY_SPECS[family][1]:
+        if arg not in kwargs:
+            raise ValueError(f"{name} spec lacks {arg!r}")
+        value = kwargs[arg]
+        row[column] = _SELECTS.index(value) if arg == "select" else int(value)
+    return row
 
 
 def mnemonic_space(mnemonics: Sequence[str], page_shift: int = 12) -> DesignSpace:
-    """The given Table 2 mnemonics as a :class:`DesignSpace`."""
+    """The given design mnemonics (or :data:`ANCHOR_SPECS` names) as a
+    :class:`DesignSpace`, each row read from the design's spec."""
+    from repro.tlb.factory import design_spec
+
     rows = []
     for m in mnemonics:
-        row = dict(_MNEMONIC_ROWS[m.upper()])
-        row["page_shift"] = page_shift
-        rows.append(row)
+        spec = ANCHOR_SPECS.get(m.upper()) or design_spec(m)
+        rows.append(dict(spec_row(spec), page_shift=page_shift))
     return DesignSpace.from_rows(rows)
 
 
@@ -740,24 +743,25 @@ def calibrate(
     cal = Calibration(workload=profile.workload, groups_per_inst=groups)
 
     # Shield-efficiency rescales from measured shielded fractions.
+    mnemonics = list(anchor_results)
+    space = mnemonic_space(mnemonics, page_shift=page_shift)
     stream = profile.stream(page_shift)
-    for mnemonic, result in anchor_results.items():
-        row = _MNEMONIC_ROWS.get(mnemonic.upper())
-        if row is None:
-            continue
-        measured = result.stats.translation.shielded_fraction
-        if row["family"] == FAMILY_MULTILEVEL:
-            raw = 1.0 - stream.miss_rate(row["shield_entries"])
+    for i, mnemonic in enumerate(mnemonics):
+        family = int(space.family[i])
+        shield_entries = int(space.shield_entries[i])
+        measured = anchor_results[mnemonic].stats.translation.shielded_fraction
+        if family == FAMILY_MULTILEVEL:
+            raw = 1.0 - stream.miss_rate(shield_entries)
             if raw > 0:
                 cal.eta_ml = min(measured / raw, 1.0 / max(raw, 1e-9))
-        elif row["family"] == FAMILY_PRETRANS:
-            raw = stream.pretranslation_hit.get(row["shield_entries"])
+        elif family == FAMILY_PRETRANS:
+            raw = stream.pretranslation_hit.get(shield_entries)
             if raw is None:
                 sizes = sorted(stream.pretranslation_hit)
                 raw = (
                     float(
                         np.interp(
-                            row["shield_entries"],
+                            shield_entries,
                             np.asarray(sizes, dtype=np.float64),
                             np.asarray(
                                 [stream.pretranslation_hit[s] for s in sizes]
@@ -777,18 +781,12 @@ def calibrate(
     # anchor (T4 when present) so the reference is reproduced exactly —
     # every low-stall design's prediction inherits its accuracy, which
     # is what near-tied orderings at the top of a ranking hinge on.
-    mnemonics = list(anchor_results)
-    space = mnemonic_space(mnemonics, page_shift=page_shift)
     parts = stall_components(
         profile, space, groups, eta_ml=cal.eta_ml, eta_pret=cal.eta_pret
     )
     y = np.asarray([_measured_cpi(anchor_results[m]) for m in mnemonics])
-    families = [
-        _MNEMONIC_ROWS[m.upper()]["family"]
-        for m in mnemonics
-    ]
     shielded = (FAMILY_MULTILEVEL, FAMILY_PRETRANS)
-    stage1 = [i for i, fam in enumerate(families) if fam not in shielded]
+    stage1 = [i for i, fam in enumerate(space.family) if fam not in shielded]
     if len(stage1) < 2:
         stage1 = list(range(len(mnemonics)))
     ref = next((i for i in stage1 if mnemonics[i].upper() == "T4"), stage1[0])
@@ -820,7 +818,7 @@ def calibrate(
         (FAMILY_MULTILEVEL, "delta_ml", "q_ml"),
         (FAMILY_PRETRANS, "delta_pret", "q_pret"),
     ):
-        members = [i for i, fam in enumerate(families) if fam == target]
+        members = [i for i, fam in enumerate(space.family) if fam == target]
         if not members:
             continue
         residuals = [float(y[i] - stage1_fit[i]) for i in members]

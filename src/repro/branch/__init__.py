@@ -11,7 +11,6 @@ from repro.branch.predictors import (
     BranchPredictor,
     GApPredictor,
     GSharePredictor,
-    StaticBackwardTakenPredictor,
     TournamentPredictor,
 )
 
@@ -21,6 +20,5 @@ __all__ = [
     "BranchPredictor",
     "GApPredictor",
     "GSharePredictor",
-    "StaticBackwardTakenPredictor",
     "TournamentPredictor",
 ]

@@ -36,28 +36,6 @@ class AlwaysTakenPredictor(BranchPredictor):
         pass
 
 
-class StaticBackwardTakenPredictor(BranchPredictor):
-    """BTFNT heuristic; needs the branch displacement sign.
-
-    The timing engine supplies the sign through :meth:`set_direction`
-    before calling :meth:`predict`, keeping the interface uniform.
-    """
-
-    __slots__ = ("_backward",)
-
-    def __init__(self):
-        self._backward = False
-
-    def set_direction(self, backward: bool) -> None:
-        self._backward = backward
-
-    def predict(self, pc: int) -> bool:
-        return self._backward
-
-    def update(self, pc: int, taken: bool) -> None:
-        pass
-
-
 class BimodalPredictor(BranchPredictor):
     """Classic per-PC 2-bit saturating counter table."""
 

@@ -35,7 +35,7 @@ from repro.check.diff import (
 )
 from repro.check.invariants import SanityError
 from repro.eval.runner import RunRequest, simulate
-from repro.tlb.factory import DESIGN_MNEMONICS
+from repro.tlb.factory import DESIGN_MNEMONICS, design_spec
 from repro.workloads import iter_workload_names
 
 #: Default per-iteration dynamic instruction budget.  Small enough that
@@ -46,13 +46,15 @@ DEFAULT_INSTRUCTIONS = 2000
 
 
 def _random_mechanism_spec(rng: random.Random, design: str):
-    """A randomized declarative spec for ``design``'s mechanism family.
+    """A randomized declarative spec of ``design``'s mechanism class.
 
-    Keeps the fuzzed point in the same family the mnemonic names, so
-    ``--design`` still governs which mechanism code is exercised.
+    Keeps the fuzzed point in the class the design's factory spec names,
+    so ``--design`` still governs which mechanism code is exercised; a
+    design of any other class (``PERFECT``, the extensions) is not
+    perturbed.
     """
-    base = design.upper()
-    if base.startswith("T"):
+    name = design_spec(design)[0]
+    if name == "MultiPortedTLB":
         return (
             "MultiPortedTLB",
             {
@@ -61,7 +63,7 @@ def _random_mechanism_spec(rng: random.Random, design: str):
                 "replacement": rng.choice(("random", "lru")),
             },
         )
-    if base.startswith("I") or base.startswith("X"):
+    if name == "InterleavedTLB":
         banks = rng.choice((2, 4, 8))
         return (
             "InterleavedTLB",
@@ -72,7 +74,7 @@ def _random_mechanism_spec(rng: random.Random, design: str):
                 "piggyback_per_bank": rng.randint(0, 3),
             },
         )
-    if base.startswith("M"):
+    if name == "MultiLevelTLB":
         return (
             "MultiLevelTLB",
             {
@@ -81,7 +83,7 @@ def _random_mechanism_spec(rng: random.Random, design: str):
                 "l2_ports": rng.choice((1, 2)),
             },
         )
-    if base.startswith("PB"):
+    if name == "PiggybackTLB":
         return (
             "PiggybackTLB",
             {
@@ -89,7 +91,7 @@ def _random_mechanism_spec(rng: random.Random, design: str):
                 "piggyback_ports": rng.randint(0, 3),
             },
         )
-    if base.startswith("P"):
+    if name == "PretranslationMechanism":
         return (
             "PretranslationMechanism",
             {

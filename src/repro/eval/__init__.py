@@ -23,7 +23,6 @@ may shift underneath it.
 * :mod:`repro.eval.experiments` — Table 3 and Figures 5/7/8/9 drivers;
 * :mod:`repro.eval.missrates` — Figure 6 (trace-driven TLB miss rates);
 * :mod:`repro.eval.sensitivity` — ablation sweeps of the design knobs;
-* :mod:`repro.eval.export` — CSV/JSON serialization of results;
 * :mod:`repro.eval.report` — ASCII tables matching the paper's layout.
 
 The evaluation *service* (:mod:`repro.serve`) plugs in here too:

@@ -192,22 +192,14 @@ def main(argv: list[str] | None = None) -> int:
 
     started = time.time()
     if args.screen:
-        from repro.eval.screen import ScreenResult, ScreenSpec, screen
+        from repro.eval.screen import ScreenSpec, screen
 
         spec = ScreenSpec(
             workloads=tuple(workloads or ()),
             max_instructions=args.insts,
             simulate=args.simulate,
         )
-        if opts.server is not None:
-            from repro.serve.client import screen_remote
-
-            result = ScreenResult.from_payload(
-                screen_remote(spec.to_dict(), address=opts.server)
-            )
-        else:
-            result = screen(spec, opts)
-        print(result.render())
+        print(screen(spec, opts).render())
     elif args.experiment == "all":
         _write_all(opts)
     else:

@@ -122,10 +122,10 @@ def int_at_least(low: int) -> Callable[[str], int]:
 
 def design_name(text: str) -> str:
     """An argparse ``type``: a design mnemonic, checked as ``RunRequest`` does."""
-    from repro.tlb.factory import design_builder
+    from repro.tlb.factory import design_spec
 
     try:
-        design_builder(text)
+        design_spec(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return text

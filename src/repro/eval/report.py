@@ -50,7 +50,7 @@ def render_table3(rows: list[Table3Row]) -> str:
     ]
     for r in rows:
         lines.append(
-            f"  {r.program:12s} {r.instructions:8d} {r.loads:8d} {r.stores:8d} "
+            f"  {_workload_label(r.program):12s} {r.instructions:8d} {r.loads:8d} {r.stores:8d} "
             f"{r.issue_ipc:9.2f} {r.commit_ipc:9.2f} {r.refs_per_cycle:9.2f} "
             f"{100 * r.branch_prediction_rate:8.1f}"
         )

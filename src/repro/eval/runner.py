@@ -38,7 +38,7 @@ from repro.func.executor import capture_trace
 from repro.ingest.build import compile_workload, is_trace_workload, parse_workload
 from repro.tlb.base import TranslationMechanism
 from repro.tlb.factory import (
-    design_builder,
+    design_spec,
     make_mechanism,
     make_mechanism_from_spec,
     mechanism_class,
@@ -122,7 +122,7 @@ class RunRequest:
             )
             mechanism_class(self.mechanism[0])
         else:
-            design_builder(self.design)
+            design_spec(self.design)
         self.machine_config()
         try:
             hash(self)  # the daemon's in-flight table keys on requests
@@ -232,7 +232,7 @@ class RunResult:
     Serializable via :meth:`to_dict`/:meth:`from_dict` (the result-store
     on-disk format).  Exposes the same ``cycles``/``ipc``/``stats``/
     ``name`` surface the old ``SimulationResult`` did, so downstream
-    consumers (report, export, analysis) are drop-in.
+    consumers (report, analysis) are drop-in.
     """
 
     request: RunRequest

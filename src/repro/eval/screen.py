@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.analysis import atmodel
 from repro.analysis.profile import AnalysisProfile, ProfileParams, build_profile
@@ -193,55 +193,26 @@ def enumerate_space(spec: ScreenSpec) -> "atmodel.DesignSpace":
 
 
 def space_cost(space: "atmodel.DesignSpace"):
-    """Vectorized (area, hit delay) using the costmodel's constants.
+    """Vectorized (area, hit delay) of every design in ``space``.
 
-    Same first-order rules as :func:`repro.tlb.costmodel.design_cost`,
-    applied per family over the whole space at once.
+    Each family's rows go, as arrays of constructor arguments, through
+    the same :data:`repro.tlb.costmodel.COST_RULES` rule
+    :func:`~repro.tlb.costmodel.design_cost` prices one design with.
     """
     np = atmodel._require_numpy()
-    entries = space.entries.astype(np.float64)
-    ports = space.ports.astype(np.float64)
-    riders = space.riders.astype(np.float64)
-    banks = np.maximum(space.banks.astype(np.float64), 1.0)
-    shieldn = np.maximum(space.shield_entries.astype(np.float64), 1.0)
-
-    area = costmodel.array_area_arrays(entries, ports)
-    delay = costmodel.array_delay_arrays(entries, ports)
-
-    piggy = space.family == atmodel.FAMILY_PIGGY
-    area = np.where(
-        piggy, area + costmodel.PIGGYBACK_COMPARATOR_AREA * riders, area
-    )
-
-    inter = space.family == atmodel.FAMILY_INTER
-    bank_entries = np.maximum(entries / banks, 1.0)
-    crossbar = (
-        costmodel.CROSSBAR_AREA_PER_POINT * banks * banks * costmodel.CROSSBAR_PORTS
-    )
-    inter_area = (
-        costmodel.array_area_arrays(bank_entries, 1.0) * banks
-        + crossbar
-        + costmodel.PIGGYBACK_COMPARATOR_AREA * riders * banks
-    )
-    inter_delay = (
-        costmodel.array_delay_arrays(bank_entries, 1.0) + costmodel.CROSSBAR_DELAY
-    )
-    area = np.where(inter, inter_area, area)
-    delay = np.where(inter, inter_delay, delay)
-
-    ml = space.family == atmodel.FAMILY_MULTILEVEL
-    pret = space.family == atmodel.FAMILY_PRETRANS
-    front = ml | pret
-    front_area = costmodel.array_area_arrays(
-        shieldn, 4.0
-    ) + costmodel.array_area_arrays(entries, ports)
-    area = np.where(front, front_area, area)
-    delay = np.where(ml, costmodel.array_delay_arrays(shieldn, 4.0), delay)
-    # Pretranslations are ready at decode (paper section 3.5): the hit
-    # path sees half the small array's delay, as in design_cost("P8").
-    delay = np.where(
-        pret, costmodel.array_delay_arrays(shieldn, 4.0) * 0.5, delay
-    )
+    area = np.zeros(len(space))
+    delay = np.zeros(len(space))
+    for family in np.unique(space.family):
+        name, args = atmodel.FAMILY_SPECS[int(family)]
+        rule = costmodel.COST_RULES.get(name)
+        if rule is None:
+            raise ValueError(f"no cost model for {name} designs")
+        mask = space.family == family
+        kwargs = {
+            arg: getattr(space, column)[mask].astype(np.float64)
+            for arg, column in args
+        }
+        area[mask], delay[mask] = rule.price(**kwargs)
     return area, delay
 
 
@@ -334,11 +305,11 @@ class ScreenResult:
 
 
 class ScreenPipeline:
-    """The screening state machine, simulator-agnostic.
+    """The screening state machine, runner-agnostic.
 
-    Drives in three steps so any request runner can sit underneath —
-    the in-process :func:`~repro.eval.parallel.run_many` or a serve
-    daemon's scheduler:
+    Drives in two steps, each a batch of requests for
+    :func:`~repro.eval.parallel.run_many` (local workers or a serve
+    daemon, by ``EvalOptions.server``):
 
     1. :meth:`anchor_requests` -> run them -> :meth:`calibrate`
     2. :meth:`frontier_requests` -> run them -> :meth:`finish`
@@ -496,7 +467,7 @@ class ScreenPipeline:
         )
 
 
-# -- drivers ------------------------------------------------------------------
+# -- the driver ---------------------------------------------------------------
 
 
 def screen(spec: ScreenSpec, options: "EvalOptions | None" = None) -> ScreenResult:
@@ -504,8 +475,11 @@ def screen(spec: ScreenSpec, options: "EvalOptions | None" = None) -> ScreenResu
 
     Anchor and frontier simulations go through
     :func:`~repro.eval.parallel.run_many` with ``options`` (jobs, result
-    store, artifact store, progress all apply); the finished summary is
-    persisted in the result store's auxiliary section.
+    store, artifact store, progress all apply; with ``server`` set they
+    run on that daemon, deduped against its other clients and answered
+    from its store).  Profiles, calibration and scoring run here.  The
+    finished summary is persisted in the result store's auxiliary
+    section when one is attached.
     """
     from repro.eval.parallel import run_many
 
@@ -523,38 +497,4 @@ def screen(spec: ScreenSpec, options: "EvalOptions | None" = None) -> ScreenResu
     result = pipeline.finish(frontier_results)
     if options.store is not None:
         options.store.put_aux("screen", spec.to_dict(), result.to_payload())
-    return result
-
-
-async def screen_async(
-    spec: ScreenSpec,
-    run_requests: Callable,
-    artifacts=None,
-    store=None,
-    offload: "Callable | None" = None,
-) -> ScreenResult:
-    """Async driver for the serve daemon (or any awaitable runner).
-
-    ``run_requests`` is an awaitable taking a list of requests and
-    returning results in order.  ``offload(fn, *args)`` — awaitable —
-    hosts the CPU-bound model steps (profile building, calibration,
-    scoring); the daemon passes a thread-pool executor so its event
-    loop stays responsive.  By default they run inline.
-    """
-    if offload is None:
-
-        async def offload(fn, *fn_args):
-            return fn(*fn_args)
-
-    if store is not None:
-        cached = store.get_aux("screen", spec.to_dict(), ScreenResult.from_payload)
-        if cached is not None:
-            return cached
-    pipeline = ScreenPipeline(spec, artifacts=artifacts)
-    anchor_results = await run_requests(pipeline.anchor_requests())
-    await offload(pipeline.calibrate, anchor_results)
-    frontier_results = await run_requests(pipeline.frontier_requests())
-    result = await offload(pipeline.finish, frontier_results)
-    if store is not None:
-        store.put_aux("screen", spec.to_dict(), result.to_payload())
     return result

@@ -1,9 +1,8 @@
 """Sparse data memory for the functional simulator.
 
 The store is word-granular (4-byte words) and virtually addressed: the
-functional simulator operates on virtual addresses, while the page table
-(:mod:`repro.mem.pagetable`) supplies physical frame numbers to the TLB
-and cache models on the timing side.
+functional simulator operates on virtual addresses, and the timing
+side's TLB and cache models see only their virtual page numbers.
 
 Words live in 4 KB pages: a dict from page number to a 1,024-slot page,
 allocated zero-filled on the first store into the page.  A page starts

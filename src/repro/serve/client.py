@@ -198,26 +198,6 @@ class ServeClient:
         """Ask the daemon to stop (it drains and exits)."""
         await self._request("shutdown", ("bye",))
 
-    async def screen(self, spec: dict) -> dict:
-        """Run a design-space screen on the daemon (the ``screen`` op).
-
-        ``spec`` is a :class:`repro.eval.screen.ScreenSpec` payload
-        (``to_dict``); the return value is a
-        :class:`~repro.eval.screen.ScreenResult` payload.  The daemon
-        simulates anchors and frontier through its shared scheduler, so
-        concurrent clients dedupe against each other as usual.
-        """
-        await protocol.write_message(self._writer, self._lock, op="screen", spec=spec)
-        while True:
-            message = await self._replies.get()
-            if message is None:
-                raise ServeError("connection closed awaiting screen result")
-            op = message.get("op")
-            if op == "screen_result":
-                return message["summary"]
-            if op == "error":
-                raise ServeError(message.get("message", "screen rejected"))
-
 
 # -- synchronous wrappers -----------------------------------------------------
 
@@ -240,23 +220,6 @@ def run_remote(
         client = await ServeClient.connect(address, retry_for=connect_timeout)
         try:
             return await client.results(reqs, progress=progress)
-        finally:
-            await client.close()
-
-    return asyncio.run(go())
-
-
-def screen_remote(spec: dict, address: str, connect_timeout: float = 10.0) -> dict:
-    """Run a screening job on a running daemon, synchronously.
-
-    Takes and returns plain payload dicts so callers need not import
-    the screening module before deciding to go remote.
-    """
-
-    async def go() -> dict:
-        client = await ServeClient.connect(address, retry_for=connect_timeout)
-        try:
-            return await client.screen(spec)
         finally:
             await client.close()
 

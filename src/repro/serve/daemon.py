@@ -112,10 +112,6 @@ class EvalServer:
                     task = asyncio.create_task(self._serve_batch(message, writer, lock))
                     batches.add(task)
                     task.add_done_callback(batches.discard)
-                elif op == "screen":
-                    task = asyncio.create_task(self._serve_screen(message, writer, lock))
-                    batches.add(task)
-                    task.add_done_callback(batches.discard)
                 elif op == "info":
                     await protocol.write_message(
                         writer,
@@ -204,56 +200,4 @@ class EvalServer:
         await asyncio.gather(*(deliver(i, job) for i, job in enumerate(jobs)))
         await protocol.write_message(
             writer, lock, op="done", id=batch_id, completed=completed, failed=failed
-        )
-
-    async def _serve_screen(self, message: dict, writer, lock) -> None:
-        """Run one design-space screen through the shared scheduler.
-
-        The model steps (profile building, calibration, vectorized
-        scoring) run on a thread so the event loop keeps serving other
-        clients; the anchor and frontier simulations are ordinary
-        scheduler jobs, deduped against concurrent batches.
-        """
-        from repro.eval.screen import ScreenSpec, screen_async
-
-        req_id = message.get("id", "")
-        try:
-            spec = ScreenSpec.from_dict(message["spec"])
-        except (KeyError, TypeError, ValueError) as exc:
-            await protocol.write_message(
-                writer, lock, op="error", id=req_id,
-                message=f"bad screen spec: {exc}",
-            )
-            return
-
-        async def run_requests(requests):
-            jobs = self.scheduler.submit(list(requests))
-            pairs = await asyncio.gather(
-                *(asyncio.shield(job.future) for job in jobs)
-            )
-            return [result for result, _source in pairs]
-
-        loop = asyncio.get_running_loop()
-
-        def offload(fn, *fn_args):
-            return loop.run_in_executor(None, fn, *fn_args)
-
-        try:
-            result = await screen_async(
-                spec,
-                run_requests,
-                artifacts=self.scheduler.artifacts,
-                store=self.scheduler.store,
-                offload=offload,
-            )
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            await protocol.write_message(
-                writer, lock, op="error", id=req_id,
-                message=f"{type(exc).__name__}: {exc}",
-            )
-            return
-        await protocol.write_message(
-            writer, lock, op="screen_result", id=req_id, summary=result.to_payload()
         )

@@ -10,7 +10,6 @@ Client -> server::
 
     {"op": "submit", "id": <str>, "version": 1,
                      "requests": [<RunRequest.to_dict()>, ...]}
-    {"op": "screen", "id": <str>, "spec": <ScreenSpec.to_dict()>}
     {"op": "info"}                  # daemon + scheduler + store counters
     {"op": "ping"}
     {"op": "shutdown"}              # graceful stop (drains in-flight work)
@@ -22,7 +21,6 @@ Server -> client::
                      "result": <RunResult.to_dict()>}
     {"op": "error",  "id": ..., "index": i, "message": ...}   # one request failed
     {"op": "done",   "id": ..., "completed": N, "failed": M}
-    {"op": "screen_result", "id": ..., "summary": <ScreenResult.to_payload()>}
     {"op": "info",   ...}
     {"op": "pong"}
     {"op": "bye"}                   # acknowledges shutdown
@@ -34,13 +32,6 @@ completion order; ``index`` maps each back to its position in the
 submitted batch.  A ``submit`` whose ``version`` is neither absent nor
 :data:`PROTOCOL_VERSION` is refused whole with ``error`` (``bad batch:
 unsupported protocol version``) and nothing is scheduled.
-
-A ``screen`` runs one design-space screen
-(:func:`repro.eval.screen.screen_async`): its anchor and frontier
-simulations are ordinary scheduler jobs, deduped against concurrent
-batches, and a summary already in the result store is answered without
-simulating.  It replies with one ``screen_result``, or one ``error``
-carrying the ``id``.
 
 Addresses are strings: ``unix:<path>`` (also any bare value containing
 a ``/``) or ``[tcp:]host:port``.  :func:`parse_address` is the single

@@ -39,6 +39,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+from repro.tlb.factory import design_spec
 
 _BASELINE_ENTRIES = 128
 
@@ -50,44 +53,120 @@ CROSSBAR_DELAY = 0.15
 CROSSBAR_PORTS = 4
 #: One piggyback port = one comparator + gating.
 PIGGYBACK_COMPARATOR_AREA = 0.25
+#: Ports of a small front structure read by every load/store unit at
+#: once: a pretranslation or PC-indexed cache, and the multi-level L1
+#: of a design space row (which has no column for them).
+FRONT_PORTS = 4
 
 
-def _array_delay(entries: int, ports: int = 1) -> float:
-    """Relative delay of a fully-associative array lookup."""
-    if entries <= 0:
-        raise ValueError(f"entries must be positive: {entries}")
-    size_term = 0.5 + 0.5 * (math.log2(entries) / math.log2(_BASELINE_ENTRIES))
-    port_term = 1.0 + 0.15 * (ports - 1)
-    return size_term * port_term
-
-
-def _array_area(entries: int, ports: int = 1) -> float:
-    """Area in single-ported entry equivalents."""
-    if ports <= 0:
-        raise ValueError(f"ports must be positive: {ports}")
-    return entries * ports * ports
-
-
-def array_area_arrays(entries, ports):
-    """Vectorized :func:`_array_area`: numpy arrays in, array out.
-
-    Same formula — ``entries * ports**2`` single-ported entry
-    equivalents — applied elementwise, so the screening pipeline
-    (:mod:`repro.eval.screen`) prices whole design spaces with the same
-    constants :func:`design_cost` uses for single mnemonics.
-    """
-    return entries * ports * ports
-
-
-def array_delay_arrays(entries, ports):
-    """Vectorized :func:`_array_delay` (requires numpy)."""
+def _log2(x):
+    """``math.log2`` for a number, elementwise ``numpy.log2`` for an array."""
+    if isinstance(x, (int, float)):
+        return math.log2(x)
     import numpy as np
 
-    size_term = 0.5 + 0.5 * (
-        np.log2(np.maximum(entries, 1)) / math.log2(_BASELINE_ENTRIES)
-    )
+    return np.log2(x)
+
+
+def _array_delay(entries, ports=1):
+    """Relative delay of a fully-associative array lookup."""
+    size_term = 0.5 + 0.5 * (_log2(entries) / math.log2(_BASELINE_ENTRIES))
     port_term = 1.0 + 0.15 * (ports - 1)
     return size_term * port_term
+
+
+def _array_area(entries, ports=1):
+    """Area in single-ported entry equivalents."""
+    return entries * ports * ports
+
+
+# -- the cost rules -----------------------------------------------------------
+#
+# One rule per mechanism class, over its constructor arguments: plain
+# ints for one design (design_cost) or equal-length numpy arrays for a
+# whole family of a screening space (repro.eval.screen.space_cost).
+# Each returns (area, hit delay); arguments a rule does not price are
+# swallowed by ``**_``.
+
+
+def _multi_ported(ports, entries, **_):
+    return _array_area(entries, ports), _array_delay(entries, ports)
+
+
+def _piggyback(ports, piggyback_ports, entries, **_):
+    # Riders gate on the hit signal only: no added delay (paper §3.4).
+    area = _array_area(entries, ports) + PIGGYBACK_COMPARATOR_AREA * piggyback_ports
+    return area, _array_delay(entries, ports)
+
+
+def _interleaved(banks, entries, piggyback_per_bank, **_):
+    bank_entries = entries // banks
+    # ports x banks crossbar switch points.
+    crossbar = CROSSBAR_AREA_PER_POINT * banks * banks * CROSSBAR_PORTS
+    area = (
+        _array_area(bank_entries, 1) * banks
+        + crossbar
+        + PIGGYBACK_COMPARATOR_AREA * piggyback_per_bank * banks
+    )
+    return area, _array_delay(bank_entries, 1) + CROSSBAR_DELAY
+
+
+def _multi_level(l1_entries, l2_entries, l2_ports, l1_ports=FRONT_PORTS, **_):
+    # The small L1 is on the hit path; the L2 is off it.
+    area = _array_area(l1_entries, l1_ports) + _array_area(l2_entries, l2_ports)
+    return area, _array_delay(l1_entries, l1_ports)
+
+
+def _front(cache_entries, base_entries, base_ports, **_):
+    # A cache read at decode (pretranslation, BAC, THB): translations
+    # are ready before cache access, so the hit path sees half the
+    # small array's delay.
+    area = _array_area(cache_entries, FRONT_PORTS) + _array_area(base_entries, base_ports)
+    return area, _array_delay(cache_entries, FRONT_PORTS) * 0.5
+
+
+class CostRule(NamedTuple):
+    """How one mechanism class is priced and described."""
+
+    #: ``(**constructor args) -> (area, hit delay)``.
+    price: Callable
+    #: ``(**constructor args) -> str``: what dominates the cost.
+    note: Callable[..., str]
+
+
+def _interleaved_note(banks, select, piggyback_per_bank, **_):
+    if piggyback_per_bank:
+        return f"{'X' if select == 'xor' else 'I'}{banks} plus per-bank piggyback comparators"
+    return "single-ported banks + crossbar adder"
+
+
+def _pc_indexed_note(cache_entries, **_):
+    return f"{cache_entries}-entry PC-indexed cache read at decode"
+
+
+#: Mechanism class name -> its cost rule.  A class without one (the
+#: ideal PerfectTLB) has no price.
+COST_RULES: dict[str, CostRule] = {
+    "MultiPortedTLB": CostRule(
+        _multi_ported,
+        lambda ports, **_: f"{ports}-ported cells: area x{ports * ports}, loaded match lines",
+    ),
+    "PiggybackTLB": CostRule(
+        _piggyback,
+        lambda ports, piggyback_ports, **_: f"{ports} real ports + {piggyback_ports} comparators",
+    ),
+    "InterleavedTLB": CostRule(_interleaved, _interleaved_note),
+    "MultiLevelTLB": CostRule(
+        _multi_level,
+        lambda l1_ports, **_: f"small {l1_ports}-ported L1 on the hit path; L2 off it",
+    ),
+    "PretranslationMechanism": CostRule(
+        _front,
+        lambda cache_entries, **_: f"{cache_entries}-entry pretranslation cache read at decode",
+    ),
+    "BranchAddressCache": CostRule(_front, _pc_indexed_note),
+    "TranslationHintBuffer": CostRule(_front, _pc_indexed_note),
+}
 
 
 @dataclass
@@ -109,75 +188,14 @@ class DesignCost:
 
 
 def design_cost(mnemonic: str) -> DesignCost:
-    """Cost model for a Table 2 (or extension) mnemonic."""
-    name = mnemonic.upper()
-    if name in ("T4", "T2", "T1"):
-        ports = int(name[1])
-        return DesignCost(
-            name,
-            area=_array_area(128, ports),
-            hit_latency=_array_delay(128, ports),
-            note=f"{ports}-ported cells: area x{ports * ports}, loaded match lines",
-        )
-    if name in ("I8", "I4", "X4"):
-        banks = int(name[1])
-        bank_entries = 128 // banks
-        crossbar = (
-            CROSSBAR_AREA_PER_POINT * banks * banks * CROSSBAR_PORTS
-        )  # ports x banks switch points
-        return DesignCost(
-            name,
-            area=_array_area(bank_entries, 1) * banks + crossbar,
-            hit_latency=_array_delay(bank_entries, 1) + CROSSBAR_DELAY,
-            note="single-ported banks + crossbar adder",
-        )
-    if name in ("M16", "M8", "M4"):
-        l1_entries = int(name[1:])
-        l1 = _array_area(l1_entries, 4)
-        l2 = _array_area(128, 1)
-        return DesignCost(
-            name,
-            area=l1 + l2,
-            hit_latency=_array_delay(l1_entries, 4),
-            note="small 4-ported L1 on the hit path; L2 off it",
-        )
-    if name == "P8":
-        pcache = _array_area(8, 4)
-        base = _array_area(128, 1)
-        return DesignCost(
-            name,
-            area=pcache + base,
-            # Pretranslations are ready at decode: the hit path adds no
-            # translation delay before cache access at all.
-            hit_latency=_array_delay(8, 4) * 0.5,
-            note="8-entry pretranslation cache read at decode",
-        )
-    if name in ("PB2", "PB1"):
-        ports = int(name[2])
-        riders = 2 if name == "PB2" else 3
-        return DesignCost(
-            name,
-            area=_array_area(128, ports) + PIGGYBACK_COMPARATOR_AREA * riders,
-            hit_latency=_array_delay(128, ports),  # gate on hit signal only
-            note=f"{ports} real ports + {riders} comparators",
-        )
-    if name == "I4/PB":
-        base = design_cost("I4")
-        return DesignCost(
-            name,
-            area=base.area + PIGGYBACK_COMPARATOR_AREA * 3 * 4,
-            hit_latency=base.hit_latency,
-            note="I4 plus per-bank piggyback comparators",
-        )
-    if name in ("BAC32", "THB32"):
-        front = _array_area(32, 4)
-        return DesignCost(
-            name,
-            area=front + _array_area(128, 1),
-            hit_latency=_array_delay(32, 4) * 0.5,
-            note="32-entry PC-indexed cache read at decode",
-        )
-    raise ValueError(f"no cost model for design {mnemonic!r}")
+    """Cost model for a design mnemonic, priced from its factory spec."""
+    name, kwargs = design_spec(mnemonic)
+    rule = COST_RULES.get(name)
+    if rule is None:
+        raise ValueError(f"no cost model for design {mnemonic!r}")
+    args = dict(kwargs)
+    area, delay = rule.price(**args)
+    return DesignCost(mnemonic.upper(), area, delay, rule.note(**args))
 
 
 def cost_table(mnemonics) -> str:

@@ -28,6 +28,16 @@ class TestRandomRequest:
         ]
         assert draws_a == draws_b
 
+    @pytest.mark.parametrize(
+        "design, fuzzed",
+        [("I4/PB", {"InterleavedTLB"}), ("PERFECT", set()), ("THB32", set())],
+    )
+    def test_perturbs_within_the_factory_spec_class(self, design, fuzzed):
+        rng = random.Random(5)
+        draws = [random_request(rng, design, insts=500) for _ in range(40)]
+        classes = {d.mechanism[0] if d.mechanism else None for d in draws}
+        assert classes - {None} == fuzzed
+
     @pytest.mark.parametrize("design", sorted(DESIGN_MNEMONICS))
     def test_every_draw_is_a_valid_request(self, design):
         rng = random.Random(2026)

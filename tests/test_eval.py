@@ -136,6 +136,17 @@ class TestReport:
         assert "espresso" in text
         assert "BrPred%" in text
 
+    def test_render_table3_shortens_trace_tokens(self):
+        from repro.eval.experiments import Table3Row
+        from repro.ingest.build import IngestSpec
+        from repro.ingest.window import WindowSpec
+
+        token = IngestSpec("/data/lk.ndjson", "eb10b27598aa", WindowSpec()).token()
+        row = Table3Row(token, 2000, 500, 200, 1.5, 1.4, 0.9, 0.95)
+        line = render_table3([row]).splitlines()[-1]
+        assert "trace:" not in line
+        assert line.startswith("  lk@eb10b27598aa     2000 ")
+
     def test_render_figure6(self):
         result = run_figure6(workloads=["espresso"], max_instructions=5_000)
         text = render_figure6(result)

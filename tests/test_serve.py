@@ -517,25 +517,31 @@ class TestEvalServer:
         assert stats.submitted == 0 and stats.simulated == 0
 
 
-class TestScreenOp:
-    def test_screen_matches_local_then_hits_the_store(self, tmp_path):
+class TestScreenThroughServer:
+    """A screen has one driver: ``screen(spec, options)``.  With
+    ``options.server`` set its anchor and frontier batches go to the
+    daemon through ``run_many``; profiles and the model run locally."""
+
+    SPEC = dict(
+        workloads=("xlisp",),
+        max_instructions=500,
+        entries=(64,),
+        multi_ports=(1,),
+        piggy_ports=(1,),
+        piggy_riders=(1,),
+        banks=(4,),
+        bank_selects=("bit",),
+        bank_riders=(0,),
+        ml_l1=(8,),
+        pret_sizes=(8,),
+        simulate=1,
+    )
+
+    def test_served_screen_matches_local_then_hits_the_store(self, tmp_path):
         pytest.importorskip("numpy")
         from repro.eval.screen import ScreenSpec, screen
 
-        spec = ScreenSpec(
-            workloads=("xlisp",),
-            max_instructions=500,
-            entries=(64,),
-            multi_ports=(1,),
-            piggy_ports=(1,),
-            piggy_riders=(1,),
-            banks=(4,),
-            bank_selects=("bit",),
-            bank_riders=(0,),
-            ml_l1=(8,),
-            pret_sizes=(8,),
-            simulate=1,
-        )
+        spec = ScreenSpec(**self.SPEC)
 
         async def main():
             addr = f"unix:{tmp_path}/s.sock"
@@ -543,29 +549,50 @@ class TestScreenOp:
                 addr, EvalOptions(jobs=1, store=ResultStore(tmp_path / "store"))
             )
             await server.start()
+            loop = asyncio.get_running_loop()
+            remote = EvalOptions(server=addr)
             try:
-                client = await ServeClient.connect(addr, retry_for=5)
-                first = await client.screen(spec.to_dict())
+                first = await loop.run_in_executor(None, screen, spec, remote)
                 simulated = server.scheduler.stats.simulated
-                hits = server.scheduler.store.stats.hits
-                second = await client.screen(spec.to_dict())
-                await client.close()
+                second = await loop.run_in_executor(None, screen, spec, remote)
             finally:
                 await server.stop()
-            return first, second, simulated, hits, server.scheduler
+            return first, second, simulated, server.scheduler.stats.simulated
 
-        first, second, simulated, hits, scheduler = asyncio.run(main())
+        first, second, simulated, simulated_after = asyncio.run(main())
         assert simulated > 0
-        assert second == first
-        assert scheduler.stats.simulated == simulated
-        assert scheduler.store.stats.hits == hits + 1  # the aux summary
+        assert simulated_after == simulated
 
-        local = screen(spec, EvalOptions(jobs=1)).to_payload()
+        local = screen(spec, EvalOptions(jobs=1))
+        payloads = [r.to_payload() for r in (first, second, local)]
         # Host timings of the model pass are measurements, not results.
-        for payload in (first, local):
+        for payload in payloads:
             payload.pop("model_seconds")
             payload.pop("scores_per_sec")
-        assert first == local
+        assert payloads[0] == payloads[2]
+        assert payloads[1] == payloads[2]
+
+    def test_screen_op_is_unknown(self, tmp_path):
+        async def main():
+            addr = f"unix:{tmp_path}/s.sock"
+            server = build_server(addr, EvalOptions(jobs=1, store=None))
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_unix_connection(
+                    f"{tmp_path}/s.sock", limit=protocol.STREAM_LIMIT
+                )
+                line = {"op": "screen", "id": "s", "spec": {"workloads": ["xlisp"]}}
+                writer.write(json.dumps(line).encode() + b"\n")
+                await writer.drain()
+                reply = await asyncio.wait_for(protocol.read_message(reader), 30)
+                writer.close()
+            finally:
+                await server.stop()
+            return reply, server.scheduler.stats.simulated
+
+        reply, simulated = asyncio.run(main())
+        assert reply == {"op": "error", "message": "unknown op 'screen'"}
+        assert simulated == 0
 
 
 class TestStoreLock:

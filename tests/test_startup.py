@@ -85,6 +85,21 @@ class TestLightStartup:
         assert light == heavy
 
 
+COST = """
+import json, sys
+from repro.tlb.costmodel import design_cost
+cost = design_cost("I4/PB")
+print(json.dumps({"area": cost.area, "modules": sorted(sys.modules)}))
+"""
+
+
+class TestCostModelStartup:
+    def test_design_cost_loads_no_numpy(self, tmp_path):
+        out = _run(COST, tmp_path)
+        assert out["area"] == 134.2
+        assert [m for m in out["modules"] if m == "numpy" or m.startswith("numpy.")] == []
+
+
 class TestFacades:
     @pytest.mark.parametrize("module", [repro, repro.eval], ids=lambda m: m.__name__)
     def test_every_public_name_resolves(self, module):
