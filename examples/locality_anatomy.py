@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 """Anatomy of a workload's translation behaviour.
 
-Uses the analysis toolkit to explain *why* a workload lands where it
-does in the paper's Figure 5: its exact LRU miss curve (what a
-multi-level L1 TLB of any size would see), its spatial-locality profile
-(what piggyback ports can combine and what pretranslation can attach),
-and the measured translation bandwidth demand under T4.
+Explains *why* a workload lands where it does in the paper's Figure 5
+from the properties of its reference stream the paper reasons from:
+
+1. its workload profile — the exact LRU miss curve (what a multi-level
+   L1 TLB of any size would see), same-page sharing in small reference
+   windows (what piggyback ports combine) and base-register page reuse
+   (what pretranslation attaches) — the same statistics the screening
+   model reads;
+2. the measured translation bandwidth demand under T4.
 
 Usage::
 
@@ -16,40 +20,19 @@ import sys
 
 from repro import RunRequest, run_one
 from repro.analysis.demand import demand_profile
-from repro.analysis.reusedist import StackDistanceAnalyzer
-from repro.analysis.spatial import profile_workload
-from repro.func.executor import Executor
-from repro.workloads import make_workload
+from repro.analysis.profile import workload_profile
 
 
 def main() -> None:
     workload = sys.argv[1] if len(sys.argv) > 1 else "compress"
     budget = int(sys.argv[2]) if len(sys.argv) > 2 else 40_000
+    request = RunRequest(workload=workload, design="T4", max_instructions=budget)
 
-    # 1. Exact LRU miss curve (Mattson stack distances).
-    build = make_workload(workload).build()
-    analyzer = StackDistanceAnalyzer()
-    for dyn in Executor(build.program, build.memory).run(max_instructions=budget):
-        if dyn.ea is not None:
-            analyzer.touch(dyn.ea >> 12)
-    print(f"[1] exact LRU TLB miss curve — {workload}")
-    for size in (4, 8, 16, 32, 64, 128):
-        rate = analyzer.miss_rate(size)
-        print(f"    {size:4d} entries: {100 * rate:6.2f}%  {'#' * round(50 * rate)}")
-    print(f"    ({analyzer.references} refs over {analyzer.distinct_pages()} pages)")
+    # 1. The reference stream, from the build the timing run replays.
+    print(f"[1] {workload_profile(request.build_axes).render()}")
 
-    # 2. Spatial locality: what piggybacking and pretranslation exploit.
-    profile = profile_workload(workload, max_instructions=budget)
-    print(f"\n[2] spatial profile")
-    print(f"    same-page adjacency     {profile.same_page_adjacent:6.1%}"
-          "   (piggyback combining potential)")
-    print(f"    base-reg page reuse     {profile.base_register_page_reuse:6.1%}"
-          "   (pretranslation attachment potential)")
-    print(f"    pages by region         {profile.pages_by_region}")
-
-    # 3. Measured bandwidth demand on the timing machine.
-    result = run_one(RunRequest(workload=workload, design="T4", max_instructions=budget))
-    print(f"\n[3] {demand_profile(result).render()}")
+    # 2. Measured bandwidth demand on the timing machine.
+    print(f"\n[2] {demand_profile(run_one(request)).render()}")
 
 
 if __name__ == "__main__":

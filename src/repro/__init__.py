@@ -30,7 +30,7 @@ Quick start::
 Packages
 --------
 ``repro.isa``        mini MIPS-like ISA, program builder, register allocator
-``repro.mem``        sparse memory, page table, address-space layout
+``repro.mem``        paged sparse memory, address-space layout
 ``repro.func``       functional simulator (dynamic instruction stream)
 ``repro.branch``     GAp branch predictor and friends
 ``repro.caches``     set-associative caches, MSHRs

@@ -6,7 +6,6 @@ Usage::
     python -m repro run xlisp M8 [--insts N] [--inorder] [--pages 8192]
                                  [--regs 8] [--itlb] [--artifacts [DIR]]
     python -m repro profile tfft [--insts N]
-    python -m repro misscurve compress [--insts N]
     python -m repro demand espresso T4 [--insts N]
     python -m repro disasm perl [--max-lines N]
     python -m repro verify tfft [--regs 8]
@@ -19,13 +18,24 @@ from __future__ import annotations
 import argparse
 
 from repro.analysis.demand import demand_profile
-from repro.analysis.reusedist import StackDistanceAnalyzer
-from repro.analysis.spatial import profile_workload
-from repro.eval.options import add_eval_args, design_name, int_at_least, workload_name
-from repro.eval.runner import _CACHE, RunRequest, run_one
+from repro.analysis.profile import workload_profile
+from repro.eval.options import (
+    add_eval_args,
+    design_name,
+    int_at_least,
+    int_in_range,
+    page_size,
+    workload_name,
+)
+from repro.eval.report import workload_label
+from repro.eval.runner import RunRequest, run_one
 from repro.ingest.build import add_trace_args, trace_workload_from_args
 from repro.tlb.factory import DESIGN_MNEMONICS, EXTENSION_MNEMONICS
 from repro.workloads import iter_workload_names, make_workload
+
+
+#: ``--regs`` range: the register allocator's integer budget.
+REGS_RANGE = (4, 32)
 
 
 def _cmd_list(args) -> int:
@@ -74,13 +84,7 @@ def _cmd_run(args) -> int:
     result = run_one(req, profiler=profiler)
     s = result.stats
     t = s.translation
-    if args.workload is None:
-        from repro.ingest.build import parse_workload
-
-        label = parse_workload(workload).display
-    else:
-        label = args.workload
-    print(f"{label} / {args.design}:")
+    print(f"{workload_label(workload)} / {args.design}:")
     print(f"  cycles              {s.cycles}")
     print(f"  committed           {s.committed}  (IPC {s.commit_ipc:.3f})")
     print(f"  issued              {s.issued}  (IPC {s.issue_ipc:.3f}, incl. wrong path)")
@@ -101,29 +105,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    profile = profile_workload(args.workload, max_instructions=args.insts)
-    print(f"spatial profile — {profile.workload}")
-    print(f"  references               {profile.references}")
-    print(f"  distinct pages           {profile.distinct_pages}")
-    print(f"  same-page adjacency      {profile.same_page_adjacent:.3f}")
-    print(f"  same-page 4-groups       {profile.same_page_group4:.3f}")
-    print(f"  base-reg page reuse      {profile.base_register_page_reuse:.3f}")
-    print(f"  pages by region          {profile.pages_by_region}")
-    return 0
-
-
-def _cmd_misscurve(args) -> int:
-    analyzer = StackDistanceAnalyzer()
-    req = RunRequest(args.workload, "T4", max_instructions=args.insts)
-    for dyn in _CACHE.get_trace(*req.build_axes):
-        if dyn.ea is not None:
-            analyzer.touch(dyn.ea >> 12)
-    print(f"exact LRU miss curve — {args.workload} "
-          f"({analyzer.references} refs, {analyzer.distinct_pages()} pages)")
-    for size in (2, 4, 8, 16, 32, 64, 128, 256):
-        rate = analyzer.miss_rate(size)
-        bar = "#" * round(50 * rate)
-        print(f"  {size:4d} entries: {100 * rate:6.2f}%  {bar}")
+    axes = RunRequest(args.workload, "T4", max_instructions=args.insts).build_axes
+    print(workload_profile(axes).render(workload_label(args.workload)))
     return 0
 
 
@@ -175,8 +158,8 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("design", type=design_name)
     p_run.add_argument("--insts", type=int_at_least(1), default=40_000)
     p_run.add_argument("--inorder", action="store_true")
-    p_run.add_argument("--pages", type=int, default=4096)
-    p_run.add_argument("--regs", type=int, default=32)
+    p_run.add_argument("--pages", type=page_size, default=4096)
+    p_run.add_argument("--regs", type=int_in_range(*REGS_RANGE), default=32)
     p_run.add_argument(
         "--itlb", action="store_true", help="model the instruction-side micro-TLB"
     )
@@ -190,13 +173,11 @@ def main(argv: list[str] | None = None) -> int:
     add_eval_args(p_run, jobs=False, cache=False, artifacts=True)
     add_trace_args(p_run)
 
-    p_prof = sub.add_parser("profile", help="spatial locality profile")
+    p_prof = sub.add_parser(
+        "profile", help="reference-stream profile and exact LRU miss curve"
+    )
     p_prof.add_argument("workload", type=workload_name)
     p_prof.add_argument("--insts", type=int_at_least(1), default=60_000)
-
-    p_miss = sub.add_parser("misscurve", help="exact LRU miss curve")
-    p_miss.add_argument("workload", type=workload_name)
-    p_miss.add_argument("--insts", type=int_at_least(1), default=60_000)
 
     p_dem = sub.add_parser("demand", help="translation demand histogram")
     p_dem.add_argument("workload", type=workload_name)
@@ -205,18 +186,17 @@ def main(argv: list[str] | None = None) -> int:
 
     p_dis = sub.add_parser("disasm", help="disassemble a workload")
     p_dis.add_argument("workload", type=workload_name)
-    p_dis.add_argument("--max-lines", type=int, default=80)
+    p_dis.add_argument("--max-lines", type=int_at_least(0), default=80)
 
     p_ver = sub.add_parser("verify", help="lint a workload's program")
     p_ver.add_argument("workload", type=workload_name)
-    p_ver.add_argument("--regs", type=int, default=32)
+    p_ver.add_argument("--regs", type=int_in_range(*REGS_RANGE), default=32)
 
     args = parser.parse_args(argv)
     handler = {
         "list": _cmd_list,
         "run": _cmd_run,
         "profile": _cmd_profile,
-        "misscurve": _cmd_misscurve,
         "demand": _cmd_demand,
         "disasm": _cmd_disasm,
         "verify": _cmd_verify,

@@ -6,17 +6,17 @@ These support (and extend) the paper's evaluation:
     Mattson stack-distance analysis of the page reference stream: exact
     LRU miss rates for *every* TLB size in one pass — the one-pass
     generalization of Figure 6's LRU points.
-``spatial``
-    Page-footprint and same-page-burst profiling: quantifies the spatial
-    locality in simultaneous requests that piggyback ports exploit, and
-    the base-register reuse that pretranslation exploits.
 ``demand``
     Translation bandwidth-demand summaries from timing runs (the
     measured distribution of simultaneous requests per cycle).
 ``profile``
-    One-pass workload profiles for the analytical model: per-page-size
-    reference-stream statistics (miss curves, duplicate fractions,
-    shield hit rates) plus the demand histogram, cacheable as artifacts.
+    The one summary of a workload's reference stream: per-page-size
+    statistics (exact LRU miss curves, same-page sharing in small
+    windows — what piggyback ports combine — base-register page reuse
+    and a pretranslation-cache proxy — what pretranslation attaches —
+    and bank-collision rates) plus the demand histogram.  Read by the
+    analytical model, printed by ``python -m repro profile``, and
+    cached as a build artifact.
 ``atmodel``
     The analytical translation-cost model itself: a vectorized
     predictor of per-design translation stalls and CPI, calibrated per
@@ -35,9 +35,8 @@ from repro.analysis.atmodel import (
     stall_components,
 )
 from repro.analysis.demand import demand_profile, DemandProfile
-from repro.analysis.profile import AnalysisProfile, ProfileParams, build_profile
-from repro.analysis.reusedist import StackDistanceAnalyzer, lru_miss_curve
-from repro.analysis.spatial import SpatialProfile, profile_workload
+from repro.analysis.profile import AnalysisProfile, build_profile, workload_profile
+from repro.analysis.reusedist import StackDistanceAnalyzer
 
 __all__ = [
     "AnalysisProfile",
@@ -45,15 +44,12 @@ __all__ = [
     "DemandProfile",
     "DesignSpace",
     "Prediction",
-    "ProfileParams",
-    "SpatialProfile",
     "StackDistanceAnalyzer",
     "build_profile",
     "calibrate",
     "demand_profile",
-    "lru_miss_curve",
     "mnemonic_space",
     "predict",
-    "profile_workload",
     "stall_components",
+    "workload_profile",
 ]

@@ -23,11 +23,14 @@ the design-independent statistics the analytical translation-cost model
 * a per-dispatch-group reference-count histogram, the trace-level proxy
   for the machine's measured per-cycle translation demand.
 
-Profiles are a pure function of the trace and the profiling parameters,
-so they serialize into the build container's ``PROF`` section
-(:mod:`repro.func.tracefile`) and hydrate through ``ArtifactStore``:
-wrong version or parameter mismatch reads as a clean miss and the
-profile is rebuilt.
+Profiles are a pure function of the trace (the profiling parameters
+are this module's constants, covered by the code fingerprint in every
+artifact key), so they serialize into the build container's ``PROF``
+section (:mod:`repro.func.tracefile`) and hydrate through
+``ArtifactStore``: a wrong version reads as a clean miss and the profile
+is rebuilt.  :func:`workload_profile` is the one way to get a build's
+profile; ``python -m repro profile`` prints its 4 KB statistics with
+:meth:`AnalysisProfile.render`.
 
 Every statistic is defined for degenerate streams — empty traces,
 single references, and cold-only page streams yield zeros, not division
@@ -40,56 +43,26 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.analysis.reusedist import StackDistanceAnalyzer, _numpy
+from repro.analysis import reusedist
 
 #: Bump when the payload layout changes; old sections read as misses.
-PROFILE_VERSION = 2
+PROFILE_VERSION = 3
 
-#: Page sizes the default profile covers (4 KB, 8 KB, 16 KB).
-DEFAULT_PAGE_SHIFTS = (12, 13, 14)
+#: Page sizes the profile covers (4 KB, 8 KB, 16 KB).
+PAGE_SHIFTS = (12, 13, 14)
 #: Reference-window sizes for same-page clustering statistics.
-DEFAULT_WINDOWS = (2, 4, 8)
+WINDOWS = (2, 4, 8)
 #: Bank counts whose select functions the profile measures.
-DEFAULT_BANKS = (2, 4, 8, 16)
+BANKS = (2, 4, 8, 16)
 #: XOR folding width in bit groups (matches repro.tlb.bankselect).
 XOR_FOLD_GROUPS = 3
 #: Candidate pretranslation-cache sizes the proxy replays.
-DEFAULT_PRET_SIZES = (2, 4, 8, 16, 32)
+PRET_SIZES = (2, 4, 8, 16, 32)
 #: Matches repro.tlb.pretranslation's paper-default tag field.
 PRET_OFFSET_TAG_SHIFT = 12
 PRET_OFFSET_TAG_BITS = 4
 #: Instructions per dispatch group for the demand proxy (issue width).
 DEMAND_GROUP = 8
-
-
-@dataclass(frozen=True)
-class ProfileParams:
-    """Profiling knobs; part of the cache key (mismatch = rebuild)."""
-
-    page_shifts: tuple = DEFAULT_PAGE_SHIFTS
-    windows: tuple = DEFAULT_WINDOWS
-    pret_sizes: tuple = DEFAULT_PRET_SIZES
-    banks: tuple = DEFAULT_BANKS
-    demand_group: int = DEMAND_GROUP
-
-    def to_payload(self) -> dict:
-        return {
-            "page_shifts": list(self.page_shifts),
-            "windows": list(self.windows),
-            "pret_sizes": list(self.pret_sizes),
-            "banks": list(self.banks),
-            "demand_group": self.demand_group,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ProfileParams":
-        return cls(
-            page_shifts=tuple(payload["page_shifts"]),
-            windows=tuple(payload["windows"]),
-            pret_sizes=tuple(payload["pret_sizes"]),
-            banks=tuple(payload["banks"]),
-            demand_group=int(payload["demand_group"]),
-        )
 
 
 @dataclass
@@ -127,7 +100,7 @@ class PageStreamStats:
 
     def miss_rates(self, capacities):
         """Vectorized :meth:`miss_rate` over a numpy array of capacities."""
-        np = _numpy()
+        np = reusedist._numpy()
         if np is None:  # pragma: no cover - screening requires numpy
             raise RuntimeError("vectorized miss rates require numpy")
         capacities = np.asarray(capacities)
@@ -181,7 +154,6 @@ class AnalysisProfile:
     """The complete screening-model input for one workload."""
 
     workload: str
-    params: ProfileParams
     instructions: int = 0
     references: int = 0
     #: references-per-dispatch-group -> group count (0-ref groups excluded).
@@ -199,11 +171,43 @@ class AnalysisProfile:
         """The stats at ``page_shift`` (KeyError if not profiled)."""
         return self.streams[page_shift]
 
+    def render(self, label: "str | None" = None) -> str:
+        """Every 4 KB statistic the model reads, plus the LRU miss curve.
+
+        ``label`` names the workload in the heading (default: its name).
+        """
+        stats = self.stream(12)
+
+        def row(name: str, value) -> str:
+            return f"  {name:25s}{value}"
+
+        def rates(values: dict, unit: str) -> str:
+            return "  ".join(f"{key}-{unit} {rate:.3f}" for key, rate in values.items())
+
+        lines = [
+            f"workload profile — {label or self.workload} "
+            f"({self.instructions} instructions, 4 KB pages)",
+            row("references", self.references),
+            row("distinct pages", stats.distinct_pages),
+            row("refs/instruction", f"{self.refs_per_instruction:.3f}"),
+            row("base-reg page reuse", f"{stats.base_register_page_reuse:.3f}"),
+            row("same-page sharing", rates(stats.dup_within, "ref")),
+            row("pretranslation proxy", rates(stats.pretranslation_hit, "entry")),
+        ]
+        for select in ("bit", "xor"):
+            collisions = {b: stats.bank_collision[f"{b}:{select}"] for b in BANKS}
+            lines.append(row(f"bank collision ({select})", rates(collisions, "bank")))
+        lines.append("exact LRU miss curve")
+        for size in (2, 4, 8, 16, 32, 64, 128, 256):
+            rate = stats.miss_rate(size)
+            bar = "#" * round(50 * rate)
+            lines.append(f"  {size:4d} entries: {100 * rate:6.2f}%  {bar}")
+        return "\n".join(lines)
+
     def to_payload(self) -> dict:
         return {
             "version": PROFILE_VERSION,
             "workload": self.workload,
-            "params": self.params.to_payload(),
             "instructions": self.instructions,
             "references": self.references,
             "group_histogram": {
@@ -221,7 +225,6 @@ class AnalysisProfile:
             raise ValueError(f"unsupported profile version: {payload.get('version')}")
         return cls(
             workload=payload["workload"],
-            params=ProfileParams.from_payload(payload["params"]),
             instructions=int(payload["instructions"]),
             references=int(payload["references"]),
             group_histogram={
@@ -241,13 +244,12 @@ def _dup_within(pages: Sequence[int], window: int) -> float:
     """Fraction of references sharing a page with another in-window ref.
 
     Windows are consecutive, non-overlapping groups of ``window``
-    references (the trailing partial window is dropped, matching
-    :mod:`repro.analysis.spatial`'s group accounting).
+    references (the trailing partial window is dropped).
     """
     usable = (len(pages) // window) * window
     if not usable:
         return 0.0
-    np = _numpy()
+    np = reusedist._numpy()
     if np is not None:
         grid = np.sort(
             np.asarray(pages[:usable], dtype=np.int64).reshape(-1, window), axis=1
@@ -267,13 +269,9 @@ def _dup_within(pages: Sequence[int], window: int) -> float:
     return shared_refs / usable
 
 
-def build_profile(
-    trace: Sequence,
-    workload: str,
-    params: ProfileParams = ProfileParams(),
-) -> AnalysisProfile:
+def build_profile(trace: Sequence, workload: str) -> AnalysisProfile:
     """Profile a dynamic instruction trace (a list of ``DynInst``)."""
-    profile = AnalysisProfile(workload=workload, params=params)
+    profile = AnalysisProfile(workload=workload)
     profile.instructions = len(trace)
 
     eas: list[int] = []
@@ -284,7 +282,7 @@ def build_profile(
     in_group = 0
     mask = (1 << PRET_OFFSET_TAG_BITS) - 1
     for index, dyn in enumerate(trace):
-        this_group = index // params.demand_group
+        this_group = index // DEMAND_GROUP
         if this_group != group:
             if in_group:
                 group_counts[in_group] = group_counts.get(in_group, 0) + 1
@@ -312,29 +310,45 @@ def build_profile(
     profile.references = len(eas)
     profile.group_histogram = group_counts
 
-    for shift in params.page_shifts:
+    for shift in PAGE_SHIFTS:
         pages = [ea >> shift for ea in eas]
         stats = PageStreamStats(page_shift=shift, references=len(pages))
-        analyzer = StackDistanceAnalyzer.from_pages(pages)
+        analyzer = reusedist.StackDistanceAnalyzer.from_pages(pages)
         stats.distinct_pages = analyzer.distinct_pages()
         stats.cold = analyzer.cold
         ordered = sorted(analyzer.histogram.items())
         stats.distance_values = tuple(v for v, _ in ordered)
         stats.distance_counts = tuple(c for _, c in ordered)
-        stats.dup_within = {
-            w: _dup_within(pages, w) for w in params.windows
-        }
+        stats.dup_within = {w: _dup_within(pages, w) for w in WINDOWS}
         stats.pretranslation_hit = {
-            size: _pretranslation_proxy(pages, tags, size)
-            for size in params.pret_sizes
+            size: _pretranslation_proxy(pages, tags, size) for size in PRET_SIZES
         }
         stats.bank_collision = {
             f"{banks}:{select}": _bank_collision(pages, banks, select)
-            for banks in params.banks
+            for banks in BANKS
             for select in ("bit", "xor")
         }
         stats.base_register_page_reuse = _base_reuse(pages, bases)
         profile.streams[shift] = stats
+    return profile
+
+
+def workload_profile(axes: tuple, artifacts=None) -> AnalysisProfile:
+    """The profile of the build ``axes`` names (see ``RunRequest.build_axes``).
+
+    Hydrated from ``artifacts`` (an ``ArtifactStore``) when it holds
+    one; otherwise built from the build cache's trace and, with a store
+    attached, written through into the build's container.
+    """
+    if artifacts is not None:
+        cached = artifacts.load_profile(axes)
+        if cached is not None:
+            return cached
+    from repro.eval.runner import _CACHE
+
+    profile = build_profile(_CACHE.get_trace(*axes), axes[0])
+    if artifacts is not None:
+        artifacts.save_profile(axes, profile)
     return profile
 
 
@@ -364,7 +378,7 @@ def _bank_collision(pages: Sequence[int], banks: int, select: str) -> float:
         return 1.0
     if len(pages) < 2:
         return 0.0
-    np = _numpy()
+    np = reusedist._numpy()
     if np is not None:
         arr = np.asarray(pages, dtype=np.int64)
         changed = arr[1:] != arr[:-1]

@@ -38,7 +38,7 @@ reshapes, per-block sorts, and one flat ``searchsorted`` per level.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def _numpy():
@@ -166,10 +166,6 @@ class StackDistanceAnalyzer:
         )
         return 1.0 - hits / self.references
 
-    def miss_curve(self, capacities: Sequence[int]) -> dict[int, float]:
-        """Exact LRU miss rates at each capacity."""
-        return {c: self.miss_rate(c) for c in capacities}
-
     def distinct_pages(self) -> int:
         """Number of distinct pages referenced."""
         return len(self._last_use)
@@ -259,10 +255,3 @@ def compute_stack_distances(pages: Sequence[int]) -> list:
         distance if (distance := analyzer.touch(page)) is not None else -1
         for page in pages
     ]
-
-
-def lru_miss_curve(
-    pages: Iterable[int], capacities: Sequence[int] = (4, 8, 16, 32, 64, 128)
-) -> dict[int, float]:
-    """Convenience: exact LRU miss rates of a page stream."""
-    return StackDistanceAnalyzer.from_pages(list(pages)).miss_curve(capacities)

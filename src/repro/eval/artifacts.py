@@ -38,7 +38,6 @@ from pathlib import Path
 
 from repro.analysis.profile import (
     AnalysisProfile,
-    ProfileParams,
     decode_profile_section,
     encode_profile_section,
 )
@@ -151,24 +150,21 @@ class ArtifactStore(Store):
 
     # -- analysis-profile artifacts -------------------------------------------
 
-    def load_profile(
-        self, axes: BuildAxes, params: ProfileParams
-    ) -> "AnalysisProfile | None":
+    def load_profile(self, axes: BuildAxes) -> "AnalysisProfile | None":
         """Hydrate the analysis profile for ``axes``, or None on a miss.
 
         The ``PROF`` section rides in the build container (a profile is
-        a pure function of the trace plus ``params``).  A missing or
-        corrupt section, a wrong payload version, or a ``params``
-        mismatch all read as clean misses — the caller re-profiles and
-        :meth:`save_profile` overwrites the section.
+        a pure function of the trace, and the key's code fingerprint
+        covers the profiling constants).  A missing or corrupt section
+        or a wrong payload version reads as a clean miss — the caller
+        re-profiles and :meth:`save_profile` overwrites the section.
         """
-
-        def decode(path: Path):
-            sections = read_container(path)
-            profile = decode_profile_section(_section(sections, SECTION_PROFILE))
-            return profile if profile.params == params else None
-
-        return self._read(self.build_path(axes), decode)
+        return self._read(
+            self.build_path(axes),
+            lambda path: decode_profile_section(
+                _section(read_container(path), SECTION_PROFILE)
+            ),
+        )
 
     def save_profile(self, axes: BuildAxes, profile: AnalysisProfile) -> "Path | None":
         """Merge the analysis profile into the build container.

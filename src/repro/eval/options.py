@@ -9,8 +9,9 @@ server.  This module defines them exactly once:
 * :func:`add_eval_args` installs the shared argparse flags
   (``--jobs``, ``--no-cache``, ``--store``, ``--artifacts``,
   ``--server``) on any parser, and :func:`int_at_least`,
-  :func:`design_name`, :func:`workload_name` and :func:`comma_list`
-  are the argparse types that reject a bad budget, worker count,
+  :func:`int_in_range`, :func:`page_size`, :func:`design_name`,
+  :func:`workload_name` and :func:`comma_list` are the argparse types
+  that reject a bad budget, worker count, register budget, page size,
   design or workload at parse time;
 * :class:`EvalOptions` is the resolved parameter object — the one way
   :func:`repro.eval.parallel.run_many`, the experiment drivers and the
@@ -118,6 +119,27 @@ def int_at_least(low: int) -> Callable[[str], int]:
 
     parse.__name__ = "int"
     return parse
+
+
+def int_in_range(low: int, high: int) -> Callable[[str], int]:
+    """An argparse ``type``: an integer in ``[low, high]``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be in [{low}, {high}]: {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+def page_size(text: str) -> int:
+    """An argparse ``type``: a page size in bytes, a power of two."""
+    value = int(text)
+    if value <= 0 or value & (value - 1):
+        raise argparse.ArgumentTypeError(f"must be a power of two: {value}")
+    return value
 
 
 def design_name(text: str) -> str:

@@ -8,8 +8,8 @@ from repro.eval.missrates import Figure6Result
 _BAR_WIDTH = 46
 
 
-def _workload_label(name: str) -> str:
-    """Column label: trace tokens shorten to their ``stem@digest`` display."""
+def workload_label(name: str) -> str:
+    """Display label: trace tokens shorten to their ``stem@digest`` display."""
     from repro.ingest.build import is_trace_workload, parse_workload
 
     if is_trace_workload(name):
@@ -30,7 +30,7 @@ def render_figure(result: FigureResult) -> str:
     lines.append("")
     lines.append("Per-workload relative IPC:")
     header = "  design " + " ".join(
-        f"{_workload_label(w)[:7]:>8s}" for w in result.workloads
+        f"{workload_label(w)[:7]:>8s}" for w in result.workloads
     )
     lines.append(header)
     for design in result.designs:
@@ -50,7 +50,7 @@ def render_table3(rows: list[Table3Row]) -> str:
     ]
     for r in rows:
         lines.append(
-            f"  {_workload_label(r.program):12s} {r.instructions:8d} {r.loads:8d} {r.stores:8d} "
+            f"  {workload_label(r.program):12s} {r.instructions:8d} {r.loads:8d} {r.stores:8d} "
             f"{r.issue_ipc:9.2f} {r.commit_ipc:9.2f} {r.refs_per_cycle:9.2f} "
             f"{100 * r.branch_prediction_rate:8.1f}"
         )
@@ -67,7 +67,7 @@ def render_figure6(result: Figure6Result) -> str:
     ]
     for row in result.rows:
         rates = " ".join(f"{100 * row.miss_rate[s]:8.2f}" for s in sizes)
-        lines.append(f"  {_workload_label(row.program):12s}{rates}")
+        lines.append(f"  {workload_label(row.program):12s}{rates}")
     rtw = " ".join(f"{100 * result.rtw_average[s]:8.2f}" for s in sizes)
     lines.append(f"  {'RTW Avg':12s}{rtw}")
     lines.append("")

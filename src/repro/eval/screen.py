@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.analysis import atmodel
-from repro.analysis.profile import AnalysisProfile, ProfileParams, build_profile
+from repro.analysis.profile import workload_profile
 from repro.eval.options import EvalOptions
-from repro.eval.runner import RunRequest, _CACHE
+from repro.eval.runner import RunRequest
 from repro.tlb import costmodel
 
 #: Workload list fallback (late import keeps module load light).
@@ -354,21 +354,6 @@ class ScreenPipeline:
             max_instructions=self.spec.max_instructions,
         )
 
-    def _profile(self, anchor: RunRequest) -> AnalysisProfile:
-        """The profile of the build ``anchor`` replays, hydrated from the
-        artifact store."""
-        params = ProfileParams()
-        axes = anchor.build_axes
-        if self.artifacts is not None:
-            cached = self.artifacts.load_profile(axes, params)
-            if cached is not None:
-                return cached
-        trace = _CACHE.get_trace(*axes)
-        profile = build_profile(trace, anchor.workload, params)
-        if self.artifacts is not None:
-            self.artifacts.save_profile(axes, profile)
-        return profile
-
     def calibrate(self, anchor_results: Sequence) -> None:
         """Consume anchor results (in :meth:`anchor_requests` order)."""
         per = len(self.spec.anchors)
@@ -376,7 +361,8 @@ class ScreenPipeline:
         for w, workload in enumerate(self.workloads):
             chunk = anchor_results[w * per : (w + 1) * per]
             anchors = dict(zip(self.spec.anchors, chunk))
-            profile = self._profile(chunk[0].request)
+            # The profile of the build the anchors replay.
+            profile = workload_profile(chunk[0].request.build_axes, self.artifacts)
             cal = atmodel.calibrate(profile, anchors)
             tick = time.perf_counter()
             pred = atmodel.predict(profile, cal, self.space)

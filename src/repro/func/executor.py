@@ -337,9 +337,9 @@ def capture_trace(
     """Run a program functionally and materialize its dynamic trace.
 
     This is the capture half of trace capture/replay: the returned list
-    is what the timing engine replays, what :func:`repro.func.tracefile.
-    save_trace` persists, and what the artifact cache
-    (:mod:`repro.eval.artifacts`) hydrates instead of re-executing.
+    is what the timing engine replays, and what the artifact cache
+    (:mod:`repro.eval.artifacts`) persists and hydrates instead of
+    re-executing.
     """
     return list(Executor(program, memory).run(max_instructions=max_instructions))
 

@@ -1,4 +1,4 @@
-"""Binary build-artifact files: programs, traces, and fetch plans on disk.
+"""Binary build-artifact containers: programs, traces, and fetch plans on disk.
 
 Long functional executions can be captured once and replayed under many
 translation designs or machine configurations (including on machines
@@ -6,7 +6,10 @@ without the workload's generator).  Version 2 generalizes the original
 bare-trace format into a small sectioned *artifact container* so the
 same file family also carries the generated program and precomputed
 fetch plans — everything :mod:`repro.eval.artifacts` needs to hydrate a
-workload build without re-running the functional simulator:
+workload build without re-running the functional simulator.  This
+module owns the layout and the section codecs;
+:class:`~repro.eval.artifacts.ArtifactStore` is the one writer and
+reader of whole containers.  The layout:
 
 * header: magic ``RPTR``, version, section count;
 * one section per artifact kind, each ``(4-byte tag, u64 length,
@@ -22,11 +25,12 @@ workload build without re-running the functional simulator:
     payload layout).
 
 Version-1 files (bare header + records, no sections) are rejected with
-a clear :class:`TraceFileError`; re-capture them with
-:func:`save_trace`.  Replaying a ``TRCE`` section requires the *same
-program* (the static decode is reconstructed from it); a program-length
-check guards obvious mismatches, and containers written by
-:func:`save_trace` embed the program so nothing else is needed.
+a clear :class:`TraceFileError`; rebuild them with
+:meth:`~repro.eval.artifacts.ArtifactStore.save_build`.  Replaying a
+``TRCE`` section requires the *same program* (the static decode is
+reconstructed from it); a program-length check guards obvious
+mismatches, and build containers carry the program in their ``PROG``
+section so nothing else is needed.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import json
 import os
 import struct
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.func.dyninst import DecodedInst, DynInst
 from repro.isa.instructions import AddrMode, Instruction
@@ -133,8 +137,8 @@ def read_container(path: "str | Path") -> dict[bytes, bytes]:
         if version == 1:
             raise TraceFileError(
                 "version-1 trace files are no longer supported (the format "
-                "gained program/fetch-plan sections in version 2); re-capture "
-                "the trace with save_trace()"
+                "gained program/fetch-plan sections in version 2); rebuild it "
+                "with ArtifactStore.save_build()"
             )
         if version != _VERSION:
             raise TraceFileError(f"unsupported version: {version}")
@@ -326,42 +330,3 @@ def decode_trace(data: bytes, program: Program) -> list[DynInst]:
             )
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# Whole-file convenience API (compatible with the version-1 entry points).
-# ---------------------------------------------------------------------------
-
-
-def save_trace(path: "str | Path", program: Program, trace: Iterable[DynInst]) -> int:
-    """Write ``trace`` (and its ``program``) to ``path``; returns the record count.
-
-    The container embeds the program, so the file is self-describing;
-    :func:`load_trace` still accepts the program separately to guard
-    against replaying a trace under the wrong build.
-    """
-    trace_payload = encode_trace(trace, len(program))
-    write_container(
-        path,
-        {
-            SECTION_PROGRAM: encode_program(program),
-            SECTION_TRACE: trace_payload,
-        },
-    )
-    return _TRACE_HEAD.unpack_from(trace_payload)[0]
-
-
-def load_trace(path: "str | Path", program: Program) -> Iterator[DynInst]:
-    """Replay a trace saved by :func:`save_trace` against ``program``."""
-    sections = read_container(path)
-    if SECTION_TRACE not in sections:
-        raise TraceFileError("container has no trace section")
-    yield from decode_trace(sections[SECTION_TRACE], program)
-
-
-def load_program(path: "str | Path") -> Program:
-    """Read the embedded program of an artifact container."""
-    sections = read_container(path)
-    if SECTION_PROGRAM not in sections:
-        raise TraceFileError("container has no program section")
-    return decode_program(sections[SECTION_PROGRAM])

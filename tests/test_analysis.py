@@ -1,14 +1,28 @@
-"""Tests for the analysis package (reuse distance, spatial, demand)."""
+"""Tests for the analysis package (reuse distance, workload profile, demand)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import reusedist
 from repro.analysis.demand import demand_profile
-from repro.analysis.reusedist import StackDistanceAnalyzer, lru_miss_curve
-from repro.analysis.spatial import profile_workload
-from repro.eval.runner import RunRequest, run_one
+from repro.analysis.profile import build_profile, workload_profile
+from repro.analysis.reusedist import StackDistanceAnalyzer
+from repro.eval.runner import _CACHE, RunRequest, run_one
 from repro.tlb.storage import FullyAssocTLB
+from repro.workloads import iter_workload_names
+
+
+def _miss_curve(pages, capacities=(4, 8, 16, 32, 64, 128)) -> dict:
+    analyzer = StackDistanceAnalyzer.from_pages(pages)
+    return {c: analyzer.miss_rate(c) for c in capacities}
+
+
+def _profile(workload: str, insts: int, regs: int = 32):
+    request = RunRequest(
+        workload, "T4", int_regs=regs, fp_regs=regs, max_instructions=insts
+    )
+    return workload_profile(request.build_axes)
 
 
 class TestStackDistance:
@@ -65,7 +79,7 @@ class TestStackDistance:
         a = StackDistanceAnalyzer()
         assert a.miss_rate(8) == 0.0
         assert a.distinct_pages() == 0
-        assert lru_miss_curve([]) == {c: 0.0 for c in (4, 8, 16, 32, 64, 128)}
+        assert _miss_curve([]) == {c: 0.0 for c in (4, 8, 16, 32, 64, 128)}
 
     def test_cold_only_stream_all_miss(self):
         a = StackDistanceAnalyzer.from_pages([1, 2, 3, 4])
@@ -75,8 +89,6 @@ class TestStackDistance:
     @given(pages=st.lists(st.integers(0, 9), max_size=120))
     @settings(max_examples=50, deadline=None)
     def test_vectorized_and_streaming_distances_identical(self, pages):
-        from repro.analysis import reusedist
-
         vectorized = reusedist.compute_stack_distances(pages)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(reusedist, "_numpy", lambda: None)
@@ -107,12 +119,12 @@ class TestStackDistance:
             if not tlb.probe(page):
                 misses += 1
                 tlb.insert(page)
-        curve = lru_miss_curve(pages, capacities=(capacity,))
+        curve = _miss_curve(pages, capacities=(capacity,))
         assert curve[capacity] == pytest.approx(misses / len(pages))
 
     def test_curve_monotone_nonincreasing(self):
         pages = [i % 17 for i in range(500)] + [i % 5 for i in range(200)]
-        curve = lru_miss_curve(pages)
+        curve = _miss_curve(pages)
         rates = [curve[c] for c in sorted(curve)]
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
 
@@ -120,35 +132,61 @@ class TestStackDistance:
     @settings(max_examples=50, deadline=None)
     def test_curve_monotone_property(self, pages):
         """Bigger TLBs never miss more: holds for any stream."""
-        curve = lru_miss_curve(pages, capacities=(1, 2, 4, 8, 16, 32))
+        curve = _miss_curve(pages, capacities=(1, 2, 4, 8, 16, 32))
         rates = [curve[c] for c in sorted(curve)]
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
         assert all(0.0 <= r <= 1.0 for r in rates)
 
 
 class TestSpatialProfile:
+    """The spatial-locality statistics of the workload profile."""
+
     def test_profile_fields_populated(self):
-        profile = profile_workload("espresso", max_instructions=10_000)
-        assert profile.references > 0
-        assert profile.distinct_pages > 0
-        assert 0.0 <= profile.same_page_adjacent <= 1.0
-        assert 0.0 <= profile.base_register_page_reuse <= 1.0
-        assert "heap" in profile.pages_by_region
+        profile = _profile("espresso", 10_000)
+        stats = profile.stream(12)
+        assert profile.references == stats.references > 0
+        assert stats.distinct_pages > 0
+        assert all(0.0 <= share <= 1.0 for share in stats.dup_within.values())
+        assert 0.0 <= stats.base_register_page_reuse <= 1.0
 
     def test_pointer_workload_has_high_base_register_reuse(self):
         """xlisp re-dereferences the same pointers constantly."""
-        profile = profile_workload("xlisp", max_instructions=15_000)
-        assert profile.base_register_page_reuse > 0.3
+        profile = _profile("xlisp", 15_000)
+        assert profile.stream(12).base_register_page_reuse > 0.3
 
     def test_spill_region_appears_at_tight_budget(self):
-        profile = profile_workload(
-            "doduc", max_instructions=15_000, int_regs=8, fp_regs=8
-        )
-        assert profile.pages_by_region.get("spill", 0) >= 1
+        """Spill code at an 8-register budget adds references."""
+        tight = _profile("doduc", 15_000, regs=8)
+        assert tight.references > _profile("doduc", 15_000).references
 
     def test_streaming_workload_has_adjacency(self):
-        profile = profile_workload("ghostscript", max_instructions=15_000)
-        assert profile.same_page_adjacent > 0.5
+        profile = _profile("ghostscript", 15_000)
+        assert profile.stream(12).dup_within[2] > 0.5
+
+
+class TestWorkloadProfile:
+    @pytest.mark.parametrize("workload", list(iter_workload_names()))
+    def test_stdlib_and_numpy_profiles_identical(self, workload, monkeypatch):
+        """Without numpy every statistic takes the stdlib path, and the
+        payload stays the same to the last float bit."""
+        pytest.importorskip("numpy")
+        axes = RunRequest(workload, "T4", max_instructions=20_000).build_axes
+        trace = _CACHE.get_trace(*axes)
+        vectorized = build_profile(trace, workload).to_payload()
+        monkeypatch.setattr(reusedist, "_numpy", lambda: None)
+        assert build_profile(trace, workload).to_payload() == vectorized
+
+    def test_profile_hydrates_from_the_artifact_store(self, tmp_path):
+        from repro.eval.artifacts import ArtifactStore
+
+        store = ArtifactStore(tmp_path)
+        axes = RunRequest("compress", "T4", max_instructions=3_000).build_axes
+        store.save_build(axes, _CACHE.get_program(*axes), _CACHE.get_trace(*axes))
+        built = workload_profile(axes, store)
+        assert store.stats.misses == 1 and store.stats.puts == 2
+        hydrated = workload_profile(axes, store)
+        assert store.stats.hits == 1
+        assert hydrated.to_payload() == built.to_payload()
 
 
 class TestDemandProfile:

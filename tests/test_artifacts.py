@@ -5,7 +5,7 @@ import struct
 
 import pytest
 
-from repro.analysis.profile import ProfileParams, build_profile, encode_profile_section
+from repro.analysis.profile import PROFILE_VERSION, build_profile, encode_profile_section
 from repro.engine.frontend import build_fetch_plan, encode_fetch_plan, fetch_config_key
 from repro.eval.artifacts import ArtifactStore
 from repro.eval.options import EvalOptions
@@ -95,48 +95,48 @@ class TestArtifactStore:
 
 class TestProfileArtifacts:
     """The PROF section rides in the build container and reads as a
-    clean miss on corruption or parameter mismatch."""
+    clean miss on corruption or a stale payload version."""
 
     def _store_with_profile(self, tmp_path):
-        from dataclasses import replace
-
-        from repro.analysis.profile import ProfileParams, build_profile
-
         store = ArtifactStore(tmp_path)
         build, trace = _fresh_build_and_trace()
         store.save_build(AXES, build.program, trace)
-        profile = build_profile(trace, AXES[0])
-        return store, profile, ProfileParams(), replace
+        return store, build_profile(trace, AXES[0])
 
     def test_round_trip(self, tmp_path):
-        store, profile, params, _ = self._store_with_profile(tmp_path)
-        assert store.load_profile(AXES, params) is None  # not saved yet
+        store, profile = self._store_with_profile(tmp_path)
+        assert store.load_profile(AXES) is None  # not saved yet
         assert store.save_profile(AXES, profile) is not None
-        hydrated = store.load_profile(AXES, params)
+        hydrated = store.load_profile(AXES)
         assert hydrated is not None
         assert hydrated.to_payload() == profile.to_payload()
         # Other sections survive the merge.
         assert store.load_build(AXES) is not None
 
-    def test_params_mismatch_is_clean_miss(self, tmp_path):
-        store, profile, params, replace = self._store_with_profile(tmp_path)
-        store.save_profile(AXES, profile)
-        other = replace(params, windows=(2,))
-        assert store.load_profile(AXES, other) is None
-        assert store.load_profile(AXES, params) is not None
+    def test_version_mismatch_is_clean_miss(self, tmp_path):
+        store, profile = self._store_with_profile(tmp_path)
+        path = store.save_profile(AXES, profile)
+        stale = profile.to_payload()
+        stale["version"] = PROFILE_VERSION - 1
+        sections = read_container(path)
+        sections[SECTION_PROFILE] = json.dumps(stale).encode()
+        write_container(path, sections)
+        assert store.load_profile(AXES) is None
+        assert store.save_profile(AXES, profile) is not None
+        assert store.load_profile(AXES) is not None
 
     def test_save_without_build_container_is_noop(self, tmp_path):
-        store, profile, params, _ = self._store_with_profile(tmp_path)
+        store, profile = self._store_with_profile(tmp_path)
         missing = ("xlisp", 32, 32, 1.0, 999)
         assert store.save_profile(missing, profile) is None
-        assert store.load_profile(missing, params) is None
+        assert store.load_profile(missing) is None
 
     def test_corrupt_container_is_clean_miss(self, tmp_path):
-        store, profile, params, _ = self._store_with_profile(tmp_path)
+        store, profile = self._store_with_profile(tmp_path)
         store.save_profile(AXES, profile)
         path = store.build_path(AXES)
         path.write_bytes(b"garbage" + path.read_bytes()[:32])
-        assert store.load_profile(AXES, params) is None
+        assert store.load_profile(AXES) is None
 
     @pytest.mark.parametrize(
         "payload",
@@ -144,26 +144,26 @@ class TestProfileArtifacts:
         ids=["list", "int", "string", "null", "not-json", "not-utf8"],
     )
     def test_corrupt_section_is_a_miss_then_overwritten(self, tmp_path, payload):
-        store, profile, params, _ = self._store_with_profile(tmp_path)
+        store, profile = self._store_with_profile(tmp_path)
         path = store.save_profile(AXES, profile)
         sections = read_container(path)
         sections[SECTION_PROFILE] = payload
         write_container(path, sections)
-        assert store.load_profile(AXES, params) is None
+        assert store.load_profile(AXES) is None
         assert store.stats.misses == 1 and store.stats.hits == 0
         assert store.save_profile(AXES, profile) is not None
-        assert store.load_profile(AXES, params).to_payload() == profile.to_payload()
+        assert store.load_profile(AXES).to_payload() == profile.to_payload()
 
     def test_wrong_shape_object_is_a_miss(self, tmp_path):
         """Valid JSON of the right version but the wrong shape."""
-        store, profile, params, _ = self._store_with_profile(tmp_path)
+        store, profile = self._store_with_profile(tmp_path)
         path = store.save_profile(AXES, profile)
         payload = profile.to_payload()
         payload["streams"] = {"12": []}
         sections = read_container(path)
         sections[SECTION_PROFILE] = json.dumps(payload).encode()
         write_container(path, sections)
-        assert store.load_profile(AXES, params) is None
+        assert store.load_profile(AXES) is None
         assert store.stats.misses == 1
 
 
@@ -211,7 +211,7 @@ class TestLegacyKernelSection:
         loaded_plan = store.load_plan(AXES, fkey, hydrated)
         assert len(loaded_plan.events) == len(plan.events)
         assert loaded_plan.icache_stats == plan.icache_stats
-        hydrated_profile = store.load_profile(AXES, ProfileParams())
+        hydrated_profile = store.load_profile(AXES)
         assert hydrated_profile.to_payload() == profile.to_payload()
         assert store.stats.misses == 0
 
@@ -223,7 +223,7 @@ class TestLegacyKernelSection:
         _, hydrated = store.load_build(AXES)
         assert len(hydrated) == len(trace)
         assert store.load_plan(AXES, fkey, hydrated) is not None
-        hydrated_profile = store.load_profile(AXES, ProfileParams())
+        hydrated_profile = store.load_profile(AXES)
         assert hydrated_profile.to_payload() == profile.to_payload()
 
 

@@ -13,6 +13,7 @@ from repro.eval.missrates import run_figure6
 from repro.eval.report import render_figure6
 from repro.eval.sensitivity import ALL_SWEEPS
 from repro.eval.options import workload_name
+from repro.ingest import TraceRecord, parse_workload, trace_workload, write_portable
 from repro.serve.__main__ import main as serve_main
 
 RESULTS_DIR = Path(__file__).resolve().parents[1] / "results"
@@ -42,10 +43,22 @@ class TestReproCli:
         assert repro_main(["profile", "espresso", "--insts", "3000"]) == 0
         assert "distinct pages" in capsys.readouterr().out
 
-    def test_misscurve(self, capsys):
-        assert repro_main(["misscurve", "espresso", "--insts", "3000"]) == 0
+    def test_profile_prints_miss_curve(self, capsys):
+        assert repro_main(["profile", "espresso", "--insts", "3000"]) == 0
         out = capsys.readouterr().out
-        assert "128 entries" in out
+        assert "exact LRU miss curve" in out and "128 entries" in out
+
+    def test_profile_labels_a_trace_token_by_stem_and_digest(self, capsys, tmp_path):
+        path = tmp_path / "lk.ndjson"
+        write_portable(
+            path,
+            [TraceRecord("load", 0x1000 + 4 * i, 0x0040_0000 + 64 * i, 4) for i in range(200)],
+        )
+        token = trace_workload(path)
+        assert repro_main(["profile", token, "--insts", "100"]) == 0
+        heading = capsys.readouterr().out.splitlines()[0]
+        assert f"— {parse_workload(token).display} (" in heading
+        assert "lk@" in heading and "trace:" not in heading
 
     def test_demand(self, capsys):
         assert repro_main(["demand", "espresso", "T4", "--insts", "3000"]) == 0
@@ -190,6 +203,10 @@ class TestEvalCli:
         ("repro", "run nosuch T4"),
         ("repro", "demand compress BOGUS"),
         ("repro", "profile compress --insts 0"),
+        ("repro", "run compress T4 --pages 3000"),
+        ("repro", "run compress T4 --regs 1"),
+        ("repro", "verify compress --regs 0"),
+        ("repro", "disasm compress --max-lines -5"),
         ("serve", "--jobs -2"),
     ],
 )

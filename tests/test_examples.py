@@ -41,8 +41,9 @@ def test_register_pressure(monkeypatch, capsys):
 
 def test_locality_anatomy(monkeypatch, capsys):
     out = _run_example("locality_anatomy.py", ["espresso", "4000"], monkeypatch, capsys)
-    assert "LRU TLB miss curve" in out
-    assert "spatial profile" in out
+    assert "exact LRU miss curve" in out
+    assert "same-page sharing" in out and "base-reg page reuse" in out
+    assert "req/cycle" in out
 
 
 @pytest.mark.slow

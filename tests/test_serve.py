@@ -681,9 +681,9 @@ class TestKillRecovery:
     """The acceptance scenario: SIGKILL mid-grid, restart, finish.
 
     A 13-design Figure-5 slice is submitted through the client API; the
-    daemon is killed after the first streamed result, restarted over the
-    same store, and must finish the grid re-serving the completed
-    requests as store hits — recomputing only what was in flight.
+    daemon is killed mid-grid, restarted over the same store, and must
+    finish the grid re-serving the completed requests as store hits —
+    recomputing only what was in flight.
     """
 
     def test_sigkill_restart_reserves_completed_work(self, tmp_path):
@@ -696,18 +696,24 @@ class TestKillRecovery:
 
         daemon = _spawn_daemon(addr, store_dir, art_dir)
         try:
-            async def until_first_result():
+            async def kill_mid_grid():
+                # The kill lands mid-grid by construction: the first
+                # request completes (and is stored) on its own, and the
+                # daemon dies as soon as it acknowledges the whole grid,
+                # while the other twelve simulations are still queued or
+                # running.
                 client = await ServeClient.connect(addr, retry_for=30)
+                await client.results(grid[:1])
                 batch = await client.submit(grid)
                 try:
                     async for message in client.stream(batch):
-                        if message["op"] == "result":
+                        if message["op"] == "ack":
                             os.kill(daemon.pid, signal.SIGKILL)
                 except ServeError:
                     pass  # connection died with the daemon — expected
                 await client.close()
 
-            asyncio.run(until_first_result())
+            asyncio.run(kill_mid_grid())
             daemon.wait(timeout=15)
         finally:
             if daemon.poll() is None:

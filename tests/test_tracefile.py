@@ -1,4 +1,4 @@
-"""Tests for trace save/replay and the new predictors."""
+"""Tests for the artifact container, its section codecs, and the new predictors."""
 
 import struct
 
@@ -14,6 +14,7 @@ from repro.engine.frontend import (
     fetch_config_key,
 )
 from repro.engine.machine import Machine
+from repro.eval.artifacts import ArtifactStore
 from repro.func.dyninst import DynInst
 from repro.func.executor import Executor, capture_trace
 from repro.func.tracefile import (
@@ -24,13 +25,11 @@ from repro.func.tracefile import (
     TraceFileError,
     decode_extern_meta,
     decode_program,
+    decode_trace,
     encode_extern_meta,
     encode_program,
     encode_trace,
-    load_program,
-    load_trace,
     read_container,
-    save_trace,
     write_container,
 )
 from repro.isa.assembler import assemble
@@ -54,13 +53,29 @@ loop:
 """
 
 
+def _save(path, program, trace) -> None:
+    """Write a build container (program + trace), as the artifact store does."""
+    write_container(
+        path,
+        {
+            SECTION_PROGRAM: encode_program(program),
+            SECTION_TRACE: encode_trace(trace, len(program)),
+        },
+    )
+
+
+def _load(path, program) -> list:
+    """Replay a container's trace section against ``program``."""
+    return decode_trace(read_container(path)[SECTION_TRACE], program)
+
+
 class TestTraceFile:
     def test_round_trip_preserves_stream(self, tmp_path):
         prog = assemble(ASM)
         original = list(Executor(prog).run())
         path = tmp_path / "trace.rptr"
-        assert save_trace(path, prog, original) == len(original)
-        replayed = list(load_trace(path, prog))
+        _save(path, prog, original)
+        replayed = _load(path, prog)
         assert len(replayed) == len(original)
         for a, b in zip(original, replayed):
             assert (a.seq, a.pc, a.ea, a.taken, a.next_index) == (
@@ -75,14 +90,14 @@ class TestTraceFile:
     def test_replayed_trace_drives_machine_identically(self, tmp_path):
         prog = assemble(ASM)
         path = tmp_path / "trace.rptr"
-        save_trace(path, prog, Executor(prog).run())
+        _save(path, prog, Executor(prog).run())
 
         def run(trace):
             cfg = MachineConfig()
             return Machine(cfg, make_mechanism("M8", cfg.page_shift), trace).run()
 
         live = run(Executor(prog).run())
-        replay = run(load_trace(path, prog))
+        replay = run(_load(path, prog))
         assert replay.cycles == live.cycles
         assert replay.stats.committed == live.stats.committed
 
@@ -90,31 +105,31 @@ class TestTraceFile:
         prog = assemble(ASM)
         other = assemble("nop\nhalt")
         path = tmp_path / "trace.rptr"
-        save_trace(path, prog, Executor(prog).run())
+        _save(path, prog, Executor(prog).run())
         with pytest.raises(TraceFileError, match="recorded against"):
-            list(load_trace(path, other))
+            _load(path, other)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.rptr"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(TraceFileError, match="magic"):
-            list(load_trace(path, assemble("halt")))
+            read_container(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         prog = assemble(ASM)
         path = tmp_path / "trace.rptr"
-        save_trace(path, prog, Executor(prog).run())
+        _save(path, prog, Executor(prog).run())
         data = path.read_bytes()
         path.write_bytes(data[:-10])
         with pytest.raises(TraceFileError, match="truncated"):
-            list(load_trace(path, prog))
+            read_container(path)
 
     def test_workload_trace_round_trip(self, tmp_path):
         build = make_workload("espresso").build()
         trace = list(Executor(build.program, build.memory).run(max_instructions=3_000))
         path = tmp_path / "espresso.rptr"
-        save_trace(path, build.program, trace)
-        replayed = list(load_trace(path, build.program))
+        _save(path, build.program, trace)
+        replayed = _load(path, build.program)
         assert [d.ea for d in replayed] == [d.ea for d in trace]
 
 
@@ -137,7 +152,7 @@ class TestArtifactContainer:
                     record.pack(d.seq, d.decoded.index, d.pc, ea, int(d.taken), d.next_index)
                 )
         with pytest.raises(TraceFileError, match="version-1"):
-            list(load_trace(path, prog))
+            read_container(path)
 
     def test_future_version_rejected(self, tmp_path):
         path = tmp_path / "future.rptr"
@@ -148,8 +163,8 @@ class TestArtifactContainer:
     def test_program_embedded_and_recoverable(self, tmp_path):
         prog = assemble(ASM)
         path = tmp_path / "trace.rptr"
-        save_trace(path, prog, Executor(prog).run())
-        again = load_program(path)
+        _save(path, prog, Executor(prog).run())
+        again = decode_program(read_container(path)[SECTION_PROGRAM])
         assert len(again) == len(prog)
         assert again.code_base == prog.code_base
         assert again.listing() == prog.listing()
@@ -167,14 +182,17 @@ class TestArtifactContainer:
         ]
 
     def test_missing_section_rejected(self, tmp_path):
-        path = tmp_path / "bare.rpta"
-        prog = assemble("halt")
-        write_container(path, {SECTION_PROGRAM: encode_program(prog)})
-        with pytest.raises(TraceFileError, match="no trace section"):
-            list(load_trace(path, prog))
+        # A build container without its trace or program section reads
+        # as a clean miss in the artifact store, its one reader.
+        store = ArtifactStore(tmp_path)
+        axes = ("espresso", 32, 32, 1.0, 2_000)
+        path = store.build_path(axes)
+        path.parent.mkdir(parents=True)
+        write_container(path, {SECTION_PROGRAM: encode_program(assemble("halt"))})
+        assert store.load_build(axes) is None
         write_container(path, {SECTION_TRACE: b"\x00" * 16})
-        with pytest.raises(TraceFileError, match="no program section"):
-            load_program(path)
+        assert store.load_build(axes) is None
+        assert store.stats.misses == 2 and store.stats.hits == 0
 
     def test_corrupt_program_section_rejected(self, tmp_path):
         path = tmp_path / "bad.rpta"
@@ -229,7 +247,7 @@ class TestContainerErrorPaths:
     def test_truncated_record_stream_rejected(self, tmp_path):
         prog = assemble(ASM)
         path = tmp_path / "records.rptr"
-        save_trace(path, prog, Executor(prog).run())
+        _save(path, prog, Executor(prog).run())
         sections = read_container(path)
         # Claim one more record than the payload actually holds.
         head = struct.Struct("<QQ")
@@ -238,7 +256,7 @@ class TestContainerErrorPaths:
         write_container(path, {SECTION_PROGRAM: sections[SECTION_PROGRAM],
                                SECTION_TRACE: doctored})
         with pytest.raises(TraceFileError, match="truncated record stream"):
-            list(load_trace(path, prog))
+            _load(path, prog)
 
     def test_negative_sequence_number_rejected(self):
         # Wrong-path synthetics carry negative seqs and must never be
