@@ -29,7 +29,7 @@ def main() -> None:
     )
     rows = []
     for design in DESIGN_MNEMONICS:
-        rel = result.relative_ipc[design]
+        rel = result.relative[design]
         cost = design_cost(design)
         rows.append((design, rel, cost.area_vs_t1, cost.hit_latency))
     for design, rel, area, delay in rows:

@@ -17,55 +17,30 @@ Usage::
 
 import sys
 
-from repro import DESIGN_MNEMONICS, RunRequest, iter_workload_names, run_one
-from repro.eval import normalized_rtw_average
+from repro import DESIGN_MNEMONICS
+from repro.eval import EvalOptions, run_figure
 
 
 def main() -> None:
     budget = int(sys.argv[1]) if len(sys.argv) > 1 else 20_000
-    workloads = list(iter_workload_names())
+    progress = EvalOptions(progress=lambda line: print(f"  {line}", file=sys.stderr))
+    grid = run_figure("figure5", max_instructions=budget, options=progress)
 
-    ipcs: dict[str, dict[str, float]] = {}
-    detail: dict[str, dict[str, float]] = {}
-    t4_cycles: dict[str, float] = {}
-    for design in DESIGN_MNEMONICS:
-        per: dict[str, float] = {}
-        shielded = piggy = stalls = requests = probes = misses = 0
-        for workload in workloads:
-            res = run_one(
-                RunRequest(workload=workload, design=design, max_instructions=budget)
-            )
-            per[workload] = res.ipc
-            if design == "T4":
-                t4_cycles[workload] = float(res.cycles)
-            t = res.stats.translation
-            shielded += t.shielded
-            piggy += t.piggybacked
-            stalls += t.port_stall_cycles
-            requests += t.requests
-            probes += t.base_probes
-            misses += t.base_misses
-        ipcs[design] = per
-        detail[design] = dict(
-            f_shielded=shielded / requests if requests else 0.0,
-            piggybacked=piggy / requests if requests else 0.0,
-            t_stalled=stalls / requests if requests else 0.0,
-            m_tlb=misses / probes if probes else 0.0,
-        )
-        print(f"  swept {design} ({len(workloads)} workloads)", file=sys.stderr)
-
-    relative = normalized_rtw_average(ipcs, t4_cycles)
     print(
         f"\n{'design':8s} {'rel IPC':>8s} {'f_shield':>9s} {'piggy':>7s} "
         f"{'t_stall':>8s} {'M_TLB%':>7s}"
     )
     for design in DESIGN_MNEMONICS:
-        d = detail[design]
-        bar = "#" * round(relative[design] * 40)
+        runs = [res.stats.translation for res in grid.results[design].values()]
+        requests = sum(t.requests for t in runs) or 1  # 0 requests: 0 of each
+        probes = sum(t.base_probes for t in runs) or 1
+        rel = grid.relative[design]
         print(
-            f"{design:8s} {relative[design]:8.3f} {d['f_shielded']:9.3f} "
-            f"{d['piggybacked']:7.3f} {d['t_stalled']:8.3f} "
-            f"{100 * d['m_tlb']:7.2f}  {bar}"
+            f"{design:8s} {rel:8.3f} {sum(t.shielded for t in runs) / requests:9.3f} "
+            f"{sum(t.piggybacked for t in runs) / requests:7.3f} "
+            f"{sum(t.port_stall_cycles for t in runs) / requests:8.3f} "
+            f"{100 * sum(t.base_misses for t in runs) / probes:7.2f}  "
+            f"{'#' * round(rel * 40)}"
         )
 
 

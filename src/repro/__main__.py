@@ -20,6 +20,7 @@ import argparse
 from repro.analysis.demand import demand_profile
 from repro.analysis.profile import workload_profile
 from repro.eval.options import (
+    REGS_RANGE,
     add_eval_args,
     design_name,
     int_at_least,
@@ -32,10 +33,6 @@ from repro.eval.runner import RunRequest, run_one
 from repro.ingest.build import add_trace_args, trace_workload_from_args
 from repro.tlb.factory import DESIGN_MNEMONICS, EXTENSION_MNEMONICS
 from repro.workloads import iter_workload_names, make_workload
-
-
-#: ``--regs`` range: the register allocator's integer budget.
-REGS_RANGE = (4, 32)
 
 
 def _cmd_list(args) -> int:

@@ -19,6 +19,7 @@ import argparse
 import sys
 
 from repro.check.fuzz import DEFAULT_INSTRUCTIONS, run_fuzz
+from repro.eval.options import int_at_least
 from repro.tlb.factory import DESIGN_MNEMONICS
 from repro.workloads import iter_workload_names
 
@@ -41,7 +42,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0, help="fuzzer RNG seed")
     parser.add_argument(
-        "--iterations", type=int, default=20, help="design points to fuzz"
+        "--iterations", type=int_at_least(1), default=20, help="design points to fuzz"
     )
     parser.add_argument(
         "--design",
@@ -58,7 +59,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     parser.add_argument(
         "--insts",
-        type=int,
+        type=int_at_least(1),
         default=DEFAULT_INSTRUCTIONS,
         help="dynamic instruction budget per run",
     )

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from repro.engine.machine import Machine
 from repro.engine.pipeview import PipelineTrace
 from repro.eval.artifacts import ArtifactStore
+from repro.eval.options import int_at_least
 from repro.eval.runner import RunRequest, _CACHE, _BuildCache, simulate
 from repro.func.executor import run_program
 from repro.func.tracefile import decode_program, encode_program
@@ -401,7 +402,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--insts",
-        type=int,
+        type=int_at_least(1),
         default=5000,
         metavar="N",
         help="instructions simulated per run (default: 5000)",

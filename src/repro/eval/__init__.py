@@ -20,9 +20,12 @@ may shift underneath it.
 * :mod:`repro.eval.weighting` — run-time-weighted averaging (the paper's
   aggregation: IPCs weighted by each benchmark's T4 run time, normalized
   to T4);
-* :mod:`repro.eval.experiments` — Table 3 and Figures 5/7/8/9 drivers;
+* :mod:`repro.eval.sensitivity` — :func:`run_variants`, the one grid
+  driver (labelled variants x workloads, RTW-normalized to the first
+  label), and the ablation sweeps of the design knobs built on it;
+* :mod:`repro.eval.experiments` — Table 3 and Figures 5/7/8/9, presets
+  of :func:`run_variants`;
 * :mod:`repro.eval.missrates` — Figure 6 (trace-driven TLB miss rates);
-* :mod:`repro.eval.sensitivity` — ablation sweeps of the design knobs;
 * :mod:`repro.eval.report` — ASCII tables matching the paper's layout.
 
 The evaluation *service* (:mod:`repro.serve`) plugs in here too:
@@ -41,8 +44,8 @@ runner, and with it the engine, before a store answers.)
 Run ``python -m repro.eval <experiment> [--jobs N] [--no-cache]
 [--server [ADDR]]`` to regenerate one experiment (``table3``,
 ``figure5`` ... ``figure9``), or ``python -m repro.eval scorecard`` to
-evaluate every encoded paper claim (:mod:`repro.eval.claims`) against
-fresh simulations.
+take every encoded paper claim's margin (:mod:`repro.eval.claims`) on
+the Figure 5, 7 and 9 grids at their committed budget.
 """
 
 from repro import _lazy_exports
@@ -61,13 +64,13 @@ _EXPORTS = {
     "add_eval_args": "repro.eval.options",
     "code_fingerprint": "repro.eval.resultstore",
     "default_server_address": "repro.eval.options",
-    "normalized_rtw_average": "repro.eval.weighting",
     "run_figure": "repro.eval.experiments",
     "run_figure6": "repro.eval.missrates",
     "run_many": "repro.eval.parallel",
     "run_one": "repro.eval.runner",
     "run_remote": "repro.serve.client",
     "run_table3": "repro.eval.experiments",
+    "run_variants": "repro.eval.sensitivity",
     "server_info": "repro.serve.client",
     "shutdown_server": "repro.serve.client",
     "simulate": "repro.eval.runner",

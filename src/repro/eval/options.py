@@ -108,6 +108,10 @@ class EvalOptions:
         return cls(jobs=jobs, store=store, artifacts=artifacts, server=server)
 
 
+#: The register allocator's integer budget: ``--regs`` and ``--int-regs``.
+REGS_RANGE = (4, 32)
+
+
 def int_at_least(low: int) -> Callable[[str], int]:
     """An argparse ``type``: an integer no smaller than ``low``."""
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from repro.eval.experiments import FigureResult, Table3Row
+from repro.eval.experiments import Table3Row
 from repro.eval.missrates import Figure6Result
+from repro.eval.sensitivity import GridResult
 
 _BAR_WIDTH = 46
 
@@ -20,11 +21,10 @@ def workload_label(name: str) -> str:
     return name
 
 
-def render_figure(result: FigureResult) -> str:
+def render_figure(result: GridResult) -> str:
     """Render a relative-performance figure as a labeled bar chart."""
-    lines = [result.spec.title, "(RTW-average IPC normalized to T4)", ""]
-    for design in result.designs:
-        rel = result.relative_ipc[design]
+    lines = [result.title, "(RTW-average IPC normalized to T4)", ""]
+    for design, rel in result.relative.items():
         bar = "#" * max(1, round(rel * _BAR_WIDTH))
         lines.append(f"  {design:6s} {rel:6.3f}  {bar}")
     lines.append("")
@@ -33,7 +33,7 @@ def render_figure(result: FigureResult) -> str:
         f"{workload_label(w)[:7]:>8s}" for w in result.workloads
     )
     lines.append(header)
-    for design in result.designs:
+    for design in result.relative:
         per = result.per_workload_relative(design)
         row = " ".join(f"{per[w]:8.3f}" for w in result.workloads)
         lines.append(f"  {design:6s} {row}")

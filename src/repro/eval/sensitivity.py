@@ -1,9 +1,17 @@
-"""Ablation studies of the design choices DESIGN.md calls out.
+"""The one grid driver, and the ablation sweeps built on it.
+
+:func:`run_variants` is the one way a grid of timing runs is evaluated:
+labelled variants x workloads go through
+:func:`~repro.eval.parallel.run_many`, and each label's run-time-weighted
+(RTW) average IPC is normalized to the first label's.  The figures and
+Table 3 (:mod:`repro.eval.experiments`) are presets of it, and so is
+every sweep below.
 
 Each sweep isolates one knob of a translation mechanism (or the machine)
-and reports run-time-weighted relative IPC against the same baseline
-protocol the figures use.  These go beyond the paper's presented data
-but answer questions its design sections raise:
+among the design choices DESIGN.md calls out, and reports RTW relative
+IPC against the same baseline protocol the figures use.  These go beyond
+the paper's presented data but answer questions its design sections
+raise:
 
 * how much does LRU in the L1 TLB buy over random replacement (§3.3)?
 * how many piggyback ports does a single-ported TLB need (§3.4)?
@@ -39,15 +47,24 @@ Variant = tuple[str, MechDescription]
 
 
 @dataclass
-class SweepResult:
-    """Outcome of one ablation sweep."""
+class GridResult:
+    """One evaluated grid: labelled variants x workloads."""
 
     title: str
     workloads: tuple[str, ...]
-    #: label -> RTW-average IPC relative to the sweep's first variant.
+    #: label -> RTW-average IPC relative to the grid's first label.
     relative: dict[str, float]
     #: label -> {workload -> RunResult}
     results: dict[str, dict[str, RunResult]]
+
+    def per_workload_relative(self, label: str) -> dict[str, float]:
+        """Per-workload IPC of ``label`` relative to the first label's."""
+        reference = self.results[next(iter(self.results))]
+        out = {}
+        for w in self.workloads:
+            ref = reference[w].ipc
+            out[w] = self.results[label][w].ipc / ref if ref else 0.0
+        return out
 
     def render(self) -> str:
         lines = [self.title, ""]
@@ -65,14 +82,18 @@ def run_variants(
     config_overrides: dict | None = None,
     per_variant_config: dict[str, dict] | None = None,
     options: EvalOptions | None = None,
-) -> SweepResult:
+) -> GridResult:
     """Run each variant over the workloads; normalize to the first.
 
     Every variant becomes one :class:`~repro.eval.runner.RunRequest`
-    per workload, and the whole sweep runs through
-    :func:`repro.eval.parallel.run_many` under ``options`` (an
-    :class:`~repro.eval.options.EvalOptions`).  Labels key the results,
-    so they must be unique.
+    per workload, built from ``config_overrides`` (request fields such
+    as ``issue_model`` or ``int_regs``, or MachineConfig names) updated
+    by the variant's ``per_variant_config`` entry.  The whole grid runs
+    through :func:`repro.eval.parallel.run_many` under ``options`` (an
+    :class:`~repro.eval.options.EvalOptions`), and each label's RTW
+    average IPC, weighted by the first label's cycles per workload, is
+    divided by the first label's.  Labels key the results, so they must
+    be unique.
     """
     labels = [label for label, _ in variants]
     duplicates = sorted({label for label in labels if labels.count(label) > 1})
@@ -100,15 +121,17 @@ def run_variants(
             owners.append((label, workload))
     for (label, workload), res in zip(owners, run_many(requests, options)):
         results[label][workload] = res
-    reference_label = variants[0][0]
-    weights = {w: float(results[reference_label][w].cycles) for w in names}
+    reference = results[labels[0]]
+    weights = {w: float(reference[w].cycles) for w in names}
     averages = {
         label: rtw_average({w: results[label][w].ipc for w in names}, weights)
-        for label in results
+        for label in labels
     }
-    ref = averages[reference_label]
+    ref = averages[labels[0]]
+    if ref <= 0:
+        raise ValueError(f"reference {labels[0]!r} average IPC is zero")
     relative = {label: avg / ref for label, avg in averages.items()}
-    return SweepResult(
+    return GridResult(
         title=title, workloads=tuple(names), relative=relative, results=results
     )
 
@@ -116,7 +139,7 @@ def run_variants(
 # -- the individual sweeps ----------------------------------------------------
 
 
-def sweep_l1_replacement(**kw) -> SweepResult:
+def sweep_l1_replacement(**kw) -> GridResult:
     """LRU vs random replacement in the M8 design's L1 TLB (§3.3)."""
     variants: list[Variant] = [
         ("M8/L1-LRU", ("MultiLevelTLB", {"l1_entries": 8, "l1_replacement": "lru"})),
@@ -125,7 +148,7 @@ def sweep_l1_replacement(**kw) -> SweepResult:
     return run_variants("L1 TLB replacement policy (M8)", variants, **kw)
 
 
-def sweep_l1_size(sizes: Sequence[int] = (2, 4, 8, 16, 32), **kw) -> SweepResult:
+def sweep_l1_size(sizes: Sequence[int] = (2, 4, 8, 16, 32), **kw) -> GridResult:
     """L1 TLB capacity sweep for the multi-level design."""
     variants: list[Variant] = [
         (f"M{size}", ("MultiLevelTLB", {"l1_entries": size}))
@@ -134,7 +157,7 @@ def sweep_l1_size(sizes: Sequence[int] = (2, 4, 8, 16, 32), **kw) -> SweepResult
     return run_variants("L1 TLB capacity (multi-level design)", variants, **kw)
 
 
-def sweep_piggyback_ports(counts: Sequence[int] = (3, 2, 1, 0), **kw) -> SweepResult:
+def sweep_piggyback_ports(counts: Sequence[int] = (3, 2, 1, 0), **kw) -> GridResult:
     """Riders per cycle on a single-ported piggybacked TLB (§3.4)."""
     variants: list[Variant] = [
         (f"PB1/{count}riders", ("PiggybackTLB", {"ports": 1, "piggyback_ports": count}))
@@ -143,7 +166,7 @@ def sweep_piggyback_ports(counts: Sequence[int] = (3, 2, 1, 0), **kw) -> SweepRe
     return run_variants("Piggyback ports on a single-ported TLB", variants, **kw)
 
 
-def sweep_bank_selection(**kw) -> SweepResult:
+def sweep_bank_selection(**kw) -> GridResult:
     """Bit selection vs XOR folding at 4 and 8 banks (§3.2)."""
     variants: list[Variant] = [
         ("I4/bit", ("InterleavedTLB", {"banks": 4, "select": "bit"})),
@@ -154,7 +177,7 @@ def sweep_bank_selection(**kw) -> SweepResult:
     return run_variants("Interleaved bank selection function", variants, **kw)
 
 
-def sweep_offset_tag_bits(bits: Sequence[int] = (4, 2, 0), **kw) -> SweepResult:
+def sweep_offset_tag_bits(bits: Sequence[int] = (4, 2, 0), **kw) -> GridResult:
     """Width of the pretranslation tag's displacement field (§3.5)."""
     variants: list[Variant] = [
         (f"P8/off{b}", ("PretranslationMechanism", {"offset_tag_bits": b}))
@@ -165,7 +188,7 @@ def sweep_offset_tag_bits(bits: Sequence[int] = (4, 2, 0), **kw) -> SweepResult:
 
 def sweep_tlb_miss_latency(
     latencies: Sequence[int] = (30, 10, 60, 100), design: str = "M8", **kw
-) -> SweepResult:
+) -> GridResult:
     """Sensitivity of a shielded design to the miss-handler latency."""
     variants: list[Variant] = [(f"{design}/miss{lat}", design) for lat in latencies]
     per_variant = {
@@ -179,7 +202,7 @@ def sweep_tlb_miss_latency(
     )
 
 
-def sweep_related_designs(**kw) -> SweepResult:
+def sweep_related_designs(**kw) -> GridResult:
     """Pretranslation vs the BAC/THB designs it extends (§3.5)."""
     variants: list[Variant] = [("P8", "P8"), ("BAC32", "BAC32"), ("THB32", "THB32"), ("T1", "T1")]
     return run_variants("Pretranslation vs related work (over T1 base)", variants, **kw)
@@ -187,7 +210,7 @@ def sweep_related_designs(**kw) -> SweepResult:
 
 def sweep_page_size(
     sizes: Sequence[int] = (4096, 8192, 16384), design: str = "M4", **kw
-) -> SweepResult:
+) -> GridResult:
     """Page-size trend beyond Figure 8's single 8 KB point ([TH94])."""
     variants: list[Variant] = [(f"{design}/{size // 1024}K", design) for size in sizes]
     per_variant = {
@@ -200,7 +223,7 @@ def sweep_page_size(
 
 def sweep_base_tlb_size(
     sizes: Sequence[int] = (256, 128, 64, 32), ports: int = 2, **kw
-) -> SweepResult:
+) -> GridResult:
     """Base-TLB capacity at fixed port count: reach vs the paper's 128."""
     variants: list[Variant] = [
         (f"T{ports}x{size}", ("MultiPortedTLB", {"ports": ports, "entries": size}))
@@ -209,7 +232,7 @@ def sweep_base_tlb_size(
     return run_variants(f"Base TLB capacity ({ports} ports)", variants, **kw)
 
 
-def sweep_predictor(**kw) -> SweepResult:
+def sweep_predictor(**kw) -> GridResult:
     """Direction-predictor choice behind the same T4 machine."""
     kinds = ("gap", "tournament", "gshare", "bimodal", "taken")
     variants: list[Variant] = [(f"T4/{kind}", "T4") for kind in kinds]
@@ -221,7 +244,7 @@ def sweep_predictor(**kw) -> SweepResult:
 
 def sweep_context_switches(
     intervals: Sequence[int] = (0, 20_000, 5_000, 1_000), design: str = "M8", **kw
-) -> SweepResult:
+) -> GridResult:
     """Multiprogramming pressure: flush all translations every N cycles.
 
     The paper's introduction motivates high-bandwidth translation with
@@ -244,7 +267,7 @@ def sweep_context_switches(
     )
 
 
-def sweep_itlb(**kw) -> SweepResult:
+def sweep_itlb(**kw) -> GridResult:
     """Cost of modelling instruction-side translation (§1's scoping)."""
     variants: list[Variant] = [
         ("T4/no-itlb", "T4"),
@@ -261,7 +284,7 @@ def sweep_itlb(**kw) -> SweepResult:
 
 
 #: All sweeps, for the ablation benchmark.
-ALL_SWEEPS: dict[str, Callable[..., SweepResult]] = {
+ALL_SWEEPS: dict[str, Callable[..., GridResult]] = {
     "l1_replacement": sweep_l1_replacement,
     "l1_size": sweep_l1_size,
     "piggyback_ports": sweep_piggyback_ports,

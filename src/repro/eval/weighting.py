@@ -10,6 +10,10 @@ T4 cycle counts ``t4_cycles[w]``::
 
     rtw_ipc(d) = sum_w t4_cycles[w] * ipc[d][w] / sum_w t4_cycles[w]
     relative(d) = rtw_ipc(d) / rtw_ipc(T4)
+
+The normalization is done once, by the grid driver
+(:func:`repro.eval.sensitivity.run_variants`), against the grid's first
+label: T4 in every figure.
 """
 
 from __future__ import annotations
@@ -28,25 +32,3 @@ def rtw_average(values: Mapping[str, float], weights: Mapping[str, float]) -> fl
     if total_weight <= 0:
         raise ValueError("weights sum to zero")
     return sum(values[k] * weights[k] for k in values) / total_weight
-
-
-def normalized_rtw_average(
-    ipc_by_design: Mapping[str, Mapping[str, float]],
-    t4_cycles: Mapping[str, float],
-    reference: str = "T4",
-) -> dict[str, float]:
-    """Per-design RTW-average IPC, normalized to ``reference``.
-
-    ``ipc_by_design[design][workload]`` holds the per-run IPCs;
-    ``t4_cycles[workload]`` supplies the weights.
-    """
-    if reference not in ipc_by_design:
-        raise ValueError(f"reference design {reference!r} not in results")
-    averages = {
-        design: rtw_average(per_workload, t4_cycles)
-        for design, per_workload in ipc_by_design.items()
-    }
-    ref = averages[reference]
-    if ref <= 0:
-        raise ValueError("reference average IPC is zero")
-    return {design: avg / ref for design, avg in averages.items()}

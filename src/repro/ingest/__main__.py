@@ -19,6 +19,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.eval.options import REGS_RANGE, int_at_least, int_in_range
 from repro.ingest.build import (
     add_window_args,
     compile_workload,
@@ -160,11 +161,11 @@ def main(argv: "list[str] | None" = None) -> int:
         "compile", help="compile a windowed sample into build products"
     )
     compile_.add_argument("input", help="portable trace file")
-    compile_.add_argument("--int-regs", type=int, default=32)
-    compile_.add_argument("--fp-regs", type=int, default=32)
+    compile_.add_argument("--int-regs", type=int_in_range(*REGS_RANGE), default=32)
+    compile_.add_argument("--fp-regs", type=int_in_range(*REGS_RANGE), default=32)
     compile_.add_argument(
         "--max-instructions",
-        type=int,
+        type=int_at_least(1),
         default=None,
         help="truncate the sample to this many records (with --artifacts, "
         "default: the budget runs use when they name none)",

@@ -1,5 +1,6 @@
 """Tests for both command-line interfaces."""
 
+import argparse
 from pathlib import Path
 
 import pytest
@@ -8,12 +9,15 @@ import repro.eval.__main__ as eval_cli
 import repro.eval.parallel
 import repro.eval.runner
 from repro.__main__ import main as repro_main
+from repro.check.__main__ import main as check_main
+from repro.check.diff import main as diff_main
 from repro.eval.__main__ import main as eval_main
 from repro.eval.missrates import run_figure6
 from repro.eval.report import render_figure6
 from repro.eval.sensitivity import ALL_SWEEPS
 from repro.eval.options import workload_name
 from repro.ingest import TraceRecord, parse_workload, trace_workload, write_portable
+from repro.ingest.__main__ import main as ingest_main
 from repro.serve.__main__ import main as serve_main
 
 RESULTS_DIR = Path(__file__).resolve().parents[1] / "results"
@@ -208,6 +212,18 @@ class TestEvalCli:
         ("repro", "verify compress --regs 0"),
         ("repro", "disasm compress --max-lines -5"),
         ("serve", "--jobs -2"),
+        ("repro", "run T4 --trace lk.ndjson --trace-stride 0"),
+        ("repro", "run T4 --trace lk.ndjson --trace-warmup -5"),
+        ("repro", "run T4 --trace lk.ndjson --trace-window -3"),
+        ("repro", "run T4 --trace lk.ndjson --trace-windows -1"),
+        ("repro", "run T4 --trace lk.ndjson --trace-seed -1"),
+        ("check", "--insts 0"),
+        ("check", "--iterations -1"),
+        ("check.diff", "--insts 0"),
+        ("ingest", "compile lk.ndjson --max-instructions -4"),
+        ("ingest", "compile lk.ndjson --int-regs 0"),
+        ("ingest", "inspect lk.ndjson --trace-stride 0"),
+        ("eval", "--screen --simulate -1"),
     ],
 )
 def test_bad_arguments_rejected_at_parse_time(cli, argv, capsys, monkeypatch):
@@ -217,8 +233,60 @@ def test_bad_arguments_rejected_at_parse_time(cli, argv, capsys, monkeypatch):
     monkeypatch.setattr(repro.eval.parallel, "run_many", refuse)
     monkeypatch.setattr(repro.eval.runner, "simulate", refuse)
     with pytest.raises(SystemExit) as exc:
-        {"eval": eval_main, "repro": repro_main, "serve": serve_main}[cli](argv.split())
+        CLIS[cli](argv.split())
     assert exc.value.code == 2 and "error: argument " in capsys.readouterr().err
+
+
+#: Every command-line entry point, by the module ``python -m`` runs.
+CLIS = {
+    "repro": repro_main,
+    "eval": eval_main,
+    "check": check_main,
+    "check.diff": diff_main,
+    "ingest": ingest_main,
+    "serve": serve_main,
+}
+
+#: Flags that take every integer.
+UNBOUNDED_INTS = {"--seed"}
+
+
+class _Built(Exception):
+    """Carries a CLI's finished parser out of its ``main``."""
+
+    def __init__(self, parser):
+        self.parser = parser
+
+
+def _parser_of(main, monkeypatch) -> argparse.ArgumentParser:
+    def built(self, args=None, namespace=None):
+        raise _Built(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", built)
+    with pytest.raises(_Built) as caught:
+        main([])
+    return caught.value.parser
+
+
+def _actions(parser: argparse.ArgumentParser):
+    """``(prog, action)`` for every action of ``parser`` and its subcommands."""
+    for action in parser._actions:
+        yield parser.prog, action
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _actions(sub)
+
+
+def test_no_integer_argument_is_unbounded(monkeypatch):
+    """Every integer argument has a bounded type from ``repro.eval.options``."""
+    bare, typed = [], 0
+    for main in CLIS.values():
+        for prog, action in _actions(_parser_of(main, monkeypatch)):
+            if action.type is int and not UNBOUNDED_INTS & set(action.option_strings):
+                bare.append(f"{prog} {'/'.join(action.option_strings) or action.dest}")
+            typed += getattr(action.type, "__name__", "") == "int"
+    assert not bare, f"integer arguments without a range: {bare}"
+    assert typed > 20  # the walk reached the subcommands' flags
 
 
 def test_trace_token_accepted_as_workload():

@@ -2,13 +2,17 @@
 miss rates, reporting).
 """
 
+from types import SimpleNamespace
+
 import pytest
 
+import repro.eval.sensitivity as sensitivity
 from repro.eval.experiments import EXPERIMENTS, run_figure, run_table3
 from repro.eval.missrates import SIZES, policy_for, run_figure6
 from repro.eval.report import render_figure, render_figure6, render_table3
 from repro.eval.runner import RunRequest, clear_build_cache, run_one
-from repro.eval.weighting import normalized_rtw_average, rtw_average
+from repro.eval.sensitivity import run_variants
+from repro.eval.weighting import rtw_average
 
 FAST = dict(max_instructions=4_000)
 TWO_WORKLOADS = ["espresso", "xlisp"]
@@ -28,15 +32,33 @@ class TestWeighting:
         with pytest.raises(ValueError):
             rtw_average({"a": 1.0}, {"a": 0.0})
 
-    def test_normalization_reference_is_one(self):
-        ipcs = {"T4": {"w": 2.0}, "T1": {"w": 1.0}}
-        rel = normalized_rtw_average(ipcs, {"w": 100.0})
-        assert rel["T4"] == pytest.approx(1.0)
-        assert rel["T1"] == pytest.approx(0.5)
+    @staticmethod
+    def _grid(monkeypatch, runs: dict) -> dict:
+        """``run_variants`` over fake runs: ``runs[(design, workload)] = (ipc, cycles)``."""
 
-    def test_missing_reference_rejected(self):
-        with pytest.raises(ValueError):
-            normalized_rtw_average({"T1": {"w": 1.0}}, {"w": 1.0})
+        def fake_run_many(requests, options=None):
+            return [
+                SimpleNamespace(ipc=ipc, cycles=cycles)
+                for ipc, cycles in (runs[r.design, r.workload] for r in requests)
+            ]
+
+        monkeypatch.setattr(sensitivity, "run_many", fake_run_many)
+        designs = list(dict.fromkeys(design for design, _ in runs))
+        workloads = list(dict.fromkeys(workload for _, workload in runs))
+        return run_variants("fake", [(d, d) for d in designs], workloads).relative
+
+    def test_normalization_reference_is_one(self, monkeypatch):
+        rel = self._grid(monkeypatch, {
+            ("T4", "a"): (2.0, 100), ("T4", "b"): (1.0, 300),
+            ("T1", "a"): (1.0, 200), ("T1", "b"): (1.0, 300),
+        })
+        assert rel["T4"] == 1.0
+        # Weighted by T4's cycles: (100 * 1 + 300 * 1) / (100 * 2 + 300 * 1).
+        assert rel["T1"] == pytest.approx(400 / 500)
+
+    def test_zero_reference_rejected(self, monkeypatch):
+        with pytest.raises(ValueError, match="'T4' average IPC is zero"):
+            self._grid(monkeypatch, {("T4", "w"): (0.0, 100), ("T1", "w"): (1.0, 100)})
 
 
 class TestRunner:
@@ -82,14 +104,30 @@ class TestExperiments:
         result = run_figure(
             "figure5", designs=["T1"], workloads=TWO_WORKLOADS, **FAST
         )
-        assert result.relative_ipc["T4"] == pytest.approx(1.0)
-        assert 0.1 < result.relative_ipc["T1"] <= 1.05
+        assert result.relative["T4"] == pytest.approx(1.0)
+        assert 0.1 < result.relative["T1"] <= 1.05
         per = result.per_workload_relative("T1")
         assert set(per) == set(TWO_WORKLOADS)
 
+    @pytest.mark.parametrize("key", sorted(EXPERIMENTS))
+    def test_figure_requests_are_the_spec_requests(self, key, monkeypatch):
+        """The grid asks for exactly ``spec.request``'s runs (the store keys)."""
+        seen = []
+
+        def record(requests, options=None):
+            seen.extend(requests)
+            return [SimpleNamespace(ipc=1.0, cycles=1) for _ in requests]
+
+        monkeypatch.setattr(sensitivity, "run_many", record)
+        run_figure(key, designs=["M8", "T4"], workloads=TWO_WORKLOADS, max_instructions=900)
+        spec = EXPERIMENTS[key]
+        assert seen == [
+            spec.request(w, d, 900, 1.0) for d in ("T4", "M8") for w in TWO_WORKLOADS
+        ]
+
     def test_t4_always_included(self):
         result = run_figure("figure5", designs=["PB1"], workloads=["espresso"], **FAST)
-        assert "T4" in result.designs
+        assert list(result.relative) == ["T4", "PB1"]
 
     def test_run_table3(self):
         rows = run_table3(workloads=TWO_WORKLOADS, **FAST)
