@@ -17,8 +17,12 @@ DiffTest-style co-simulation:
   loops, cached vs. uncached artifact paths, and timing vs. functional
   architectural state;
 * :mod:`repro.check.fuzz` — a seeded config fuzzer driving both across
-  random valid machine/mechanism combinations, exposed as
-  ``python -m repro.check``.
+  random valid machine/mechanism combinations.
+
+``python -m repro.check`` is the sanitizer's one command line: every
+fuzzed point runs under the invariant checker and all three
+differential checks, over the synthetic workloads or (``--trace``) an
+ingested external trace.
 """
 
 from repro.check.diff import DiffReport, Mismatch, request_with_config, run_differential

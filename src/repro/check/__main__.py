@@ -1,4 +1,9 @@
-"""CLI for the simulation sanitizer.
+"""CLI for the simulation sanitizer: ``python -m repro.check``.
+
+The one command line for all of :mod:`repro.check`: every fuzzed point
+runs under the invariant checker and through the three differential
+checks (event-driven vs. plain loops, artifact round trip, timing vs.
+functional state).
 
 Examples::
 
@@ -8,6 +13,11 @@ Examples::
     # Interrogate one design (required for new mechanisms, see
     # docs/extending.md); add --insts for longer runs.
     python -m repro.check --design M8 --iterations 10
+
+    # Fuzz over an ingested external trace instead of the synthetic
+    # workloads (the functional check does not apply to it).
+    python -m repro.check --trace lackey.ndjson --trace-window 4000 \\
+        --trace-windows 2 --designs T4,M8 --insts 5000 --iterations 4
 
 Exit status is non-zero when any invariant violation or differential
 mismatch is found; details are printed per failing iteration.
@@ -19,20 +29,8 @@ import argparse
 import sys
 
 from repro.check.fuzz import DEFAULT_INSTRUCTIONS, run_fuzz
-from repro.eval.options import int_at_least
-from repro.tlb.factory import DESIGN_MNEMONICS
-from repro.workloads import iter_workload_names
-
-
-def _design_list(text: str) -> list[str]:
-    known = {d.upper() for d in DESIGN_MNEMONICS}
-    designs = [part.strip().upper() for part in text.split(",") if part.strip()]
-    for design in designs:
-        if design not in known:
-            raise argparse.ArgumentTypeError(
-                f"unknown design {design!r}; known: {', '.join(DESIGN_MNEMONICS)}"
-            )
-    return designs
+from repro.eval.options import comma_list, design_name, int_at_least, workload_name
+from repro.ingest.build import add_trace_args, trace_workload_from_args
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -48,12 +46,13 @@ def main(argv: "list[str] | None" = None) -> int:
         "--design",
         "--designs",
         dest="designs",
-        type=_design_list,
+        type=comma_list(design_name),
         default=None,
         help="comma-separated design mnemonics (default: all 13)",
     )
     parser.add_argument(
         "--workloads",
+        type=comma_list(workload_name),
         default=None,
         help="comma-separated workload names (default: all registered)",
     )
@@ -66,15 +65,15 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument(
         "--quiet", action="store_true", help="suppress per-iteration output"
     )
+    add_trace_args(parser)
     args = parser.parse_args(argv)
 
-    workloads = None
-    if args.workloads:
-        known = set(iter_workload_names())
-        workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-        unknown = [w for w in workloads if w not in known]
-        if unknown:
-            parser.error(f"unknown workload(s): {', '.join(unknown)}")
+    workloads = args.workloads
+    if args.trace is not None:
+        # The ingested trace is the fuzz's only workload.
+        if workloads:
+            parser.error("--trace and --workloads are mutually exclusive")
+        workloads = [trace_workload_from_args(args)]
 
     def progress(index: int, total: int, record) -> None:
         if args.quiet:

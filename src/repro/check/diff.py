@@ -20,17 +20,15 @@ twin; this module runs both sides and diffs the outcome:
   memory references, and control transfers must match the trace the
   functional simulator produced).
 
-The entry point is :func:`run_differential`, which returns a
-:class:`DiffReport`; the fuzz harness (:mod:`repro.check.fuzz`) drives
-it across random configurations, and ``python -m repro.check.diff``
-runs a chosen check subset over a workload × design grid (CI's
-``check-smoke`` and ``ingest-smoke`` jobs and the Figure 5 acceptance
-sweep).
+The entry point is :func:`run_differential`, which runs every check
+that applies to one request and returns a :class:`DiffReport`.  The
+fuzz harness (:mod:`repro.check.fuzz`) drives it across random
+configurations; its CLI, ``python -m repro.check``, is the one command
+line for all three checks (this module has none of its own).
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import tempfile
 from dataclasses import dataclass, field
@@ -38,7 +36,6 @@ from dataclasses import dataclass, field
 from repro.engine.machine import Machine
 from repro.engine.pipeview import PipelineTrace
 from repro.eval.artifacts import ArtifactStore
-from repro.eval.options import int_at_least
 from repro.eval.runner import RunRequest, _CACHE, _BuildCache, simulate
 from repro.func.executor import run_program
 from repro.func.tracefile import decode_program, encode_program
@@ -114,7 +111,7 @@ def _diff_stats(a: dict, b: dict, left: str, right: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _first_divergence(req: RunRequest, limit: int) -> tuple[int | None, str]:
+def _first_divergence(req: RunRequest) -> tuple[int | None, str]:
     """Locate a loop divergence by lockstep pipeview comparison."""
     trace = _CACHE.get_trace(*req.build_axes)
     base = req.machine_config()
@@ -122,7 +119,7 @@ def _first_divergence(req: RunRequest, limit: int) -> tuple[int | None, str]:
     for flag in (True, False):
         config = dataclasses.replace(base, event_driven=flag, sanity=False)
         mech = req.make_mech(config.page_shift)
-        views.append(PipelineTrace.capture(config, mech, trace, limit=limit))
+        views.append(PipelineTrace.capture(config, mech, trace, limit=PIPEVIEW_LIMIT))
     fast, slow = views
     for f, s in zip(fast.timelines, slow.timelines):
         f_stages = (f.dispatch, f.issue, f.complete, f.commit)
@@ -147,7 +144,7 @@ def _first_divergence(req: RunRequest, limit: int) -> tuple[int | None, str]:
         )
         return cycle, excerpt
     return None, (
-        f"  (stage timelines agree over the first {limit} instructions; "
+        f"  (stage timelines agree over the first {PIPEVIEW_LIMIT} instructions; "
         "the divergence lies beyond the pipeview window)"
     )
 
@@ -156,14 +153,14 @@ def _indent(text: str) -> str:
     return "\n".join("    " + line for line in text.splitlines())
 
 
-def _check_loops(req: RunRequest, mismatches: list[Mismatch], pipeview_limit: int):
+def _check_loops(req: RunRequest, mismatches: list[Mismatch]):
     """Event-driven and plain loops must produce bit-identical stats."""
     fast = simulate(request_with_config(req, event_driven=True))
     slow = simulate(request_with_config(req, event_driven=False))
     a, b = _stats_dict(fast.stats), _stats_dict(slow.stats)
     if a == b:
         return fast
-    cycle, excerpt = _first_divergence(req, pipeview_limit)
+    cycle, excerpt = _first_divergence(req)
     mismatches.append(
         Mismatch(
             "loops",
@@ -321,138 +318,23 @@ def _check_functional(req: RunRequest, timing, mismatches: list[Mismatch]) -> No
         )
 
 
-def run_differential(
-    req: RunRequest,
-    pipeview_limit: int = PIPEVIEW_LIMIT,
-    checks: "tuple[str, ...]" = CHECKS,
-) -> DiffReport:
-    """Run the selected redundant-path checks for one request."""
-    unknown = set(checks) - set(CHECKS)
-    if unknown:
-        raise ValueError(f"unknown check(s): {sorted(unknown)}")
-    if is_trace_workload(req.workload):
-        # An ingested trace has no functional executor to cross-check
-        # against; every other redundant path applies unchanged.
-        checks = tuple(c for c in checks if c != "functional")
-    report = DiffReport(request=req, checks=tuple(checks))
-    timing = None
-    if "loops" in checks or "functional" in checks:
-        timing = _check_loops(req, report.mismatches, pipeview_limit)
-        if "loops" not in checks:
-            # Only ran to obtain the timing result; drop loop findings.
-            report.mismatches = [m for m in report.mismatches if m.check != "loops"]
-    if "artifacts" in checks:
-        _check_artifacts(req, report.mismatches)
-    if "functional" in checks:
+def run_differential(req: RunRequest) -> DiffReport:
+    """Run every redundant-path check that applies to one request.
+
+    An ingested trace has no functional executor to cross-check
+    against, so ``functional`` is skipped for it; every other redundant
+    path applies unchanged.
+    """
+    traced = is_trace_workload(req.workload)
+    report = DiffReport(
+        request=req, checks=tuple(c for c in CHECKS if not (traced and c == "functional"))
+    )
+    timing = _check_loops(req, report.mismatches)
+    _check_artifacts(req, report.mismatches)
+    if not traced:
         _check_functional(req, timing, report.mismatches)
     return report
 
 
-# ---------------------------------------------------------------------------
-# CLI: differential sweep over a workload × design grid.
-# ---------------------------------------------------------------------------
-
-
-def _parse_checks(text: str) -> "tuple[str, ...]":
-    """argparse type for ``--checks``: unknown names fail at parse time."""
-    checks = tuple(c for c in text.split(",") if c)
-    unknown = [c for c in checks if c not in CHECKS]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown check(s) {','.join(unknown)}; choose from {','.join(CHECKS)}"
-        )
-    return checks
-
-
-def main(argv=None) -> int:
-    """``python -m repro.check.diff`` — grid differential sweep.
-
-    Runs the selected checks for every workload × design × issue-model
-    combination and exits non-zero on the first batch containing a
-    mismatch.  CI's check-smoke and ingest-smoke jobs and the Figure 5
-    acceptance sweep drive this entry point.
-    """
-    from repro.tlb.factory import DESIGN_MNEMONICS
-    from repro.workloads import iter_workload_names
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.check.diff", description=main.__doc__
-    )
-    parser.add_argument(
-        "--checks",
-        type=_parse_checks,
-        default=CHECKS,
-        help=f"comma-separated subset of {','.join(CHECKS)} (default: all)",
-    )
-    parser.add_argument(
-        "--workloads",
-        default="compress,xlisp",
-        help="comma-separated workload names, or 'all' (default: compress,xlisp)",
-    )
-    parser.add_argument(
-        "--designs",
-        default="T4,T1,I4,PB1",
-        help="comma-separated TLB design mnemonics, or 'all' "
-        "(default: T4,T1,I4,PB1)",
-    )
-    parser.add_argument(
-        "--issue-models",
-        default="ooo,inorder",
-        help="comma-separated from ooo,inorder (default: both)",
-    )
-    parser.add_argument(
-        "--insts",
-        type=int_at_least(1),
-        default=5000,
-        metavar="N",
-        help="instructions simulated per run (default: 5000)",
-    )
-    from repro.ingest.build import add_trace_args, trace_workload_from_args
-
-    add_trace_args(parser)
-    args = parser.parse_args(argv)
-
-    checks = args.checks
-    if args.trace is not None:
-        # The ingested-workload leg: run the same redundant-path checks
-        # over an external trace (functional is skipped automatically —
-        # there is no functional executor behind an ingested stream).
-        workloads = [trace_workload_from_args(args)]
-    else:
-        workloads = (
-            sorted(iter_workload_names())
-            if args.workloads == "all"
-            else args.workloads.split(",")
-        )
-    designs = (
-        list(DESIGN_MNEMONICS) if args.designs == "all" else args.designs.split(",")
-    )
-    issue_models = args.issue_models.split(",")
-    for model in issue_models:
-        if model not in ("ooo", "inorder"):
-            parser.error(f"unknown issue model: {model}")
-
-    failures = 0
-    total = 0
-    for workload in workloads:
-        for design in designs:
-            for model in issue_models:
-                req = RunRequest(
-                    workload=workload,
-                    design=design,
-                    issue_model=model,
-                    max_instructions=args.insts,
-                )
-                report = run_differential(req, checks=checks)
-                total += 1
-                print(f"[{model}] {report.render()}")
-                if not report.ok:
-                    failures += 1
-    verdict = "OK" if not failures else "FAIL"
-    print(f"{verdict}: {total - failures}/{total} grid points clean "
-          f"({','.join(checks)})")
-    return 1 if failures else 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit("repro.check.diff has no command line; run `python -m repro.check`")

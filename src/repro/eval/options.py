@@ -147,14 +147,18 @@ def page_size(text: str) -> int:
 
 
 def design_name(text: str) -> str:
-    """An argparse ``type``: a design mnemonic, checked as ``RunRequest`` does."""
+    """An argparse ``type``: a design mnemonic, checked as ``RunRequest`` does.
+
+    Returns the canonical (upper-case) ``DESIGNS`` key, so ``t4`` and
+    ``T4`` name one design, one run and one store key.
+    """
     from repro.tlb.factory import design_spec
 
     try:
         design_spec(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
+    return text.upper()
 
 
 def workload_name(text: str) -> str:

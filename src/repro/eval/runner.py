@@ -12,12 +12,12 @@ store (:mod:`repro.eval.resultstore`).
 plus the request that produced them and provenance, round-trippable
 through ``to_dict``/``from_dict``.
 
-Workload programs and their dynamic traces depend only on (workload,
-register budget, scale, budget), and fetch plans on those plus the
-front-end configuration — not on the translation design — so all three
-are cached per process in a small LRU (:class:`_BuildCache`) and
-replayed under every design.  A workload's memory image is built,
-captured once and dropped: replay never reads it.
+Dynamic traces depend only on (workload, register budget, scale,
+budget), and fetch plans on those plus the front-end configuration —
+not on the translation design — so both are cached per process in a
+small LRU (:class:`_BuildCache`) and replayed under every design.  A
+workload's program and memory image are built, captured once and
+dropped: replay never reads them.
 """
 
 from __future__ import annotations
@@ -313,15 +313,14 @@ def _stats_from_dict(d: Any) -> MachineStats:
 
 @dataclass
 class _BuildCache:
-    """Bounded per-process LRU of what replay reads: programs, dynamic
-    traces and fetch plans.
+    """Bounded per-process LRU of what replay reads: dynamic traces and
+    fetch plans.
 
-    A trace and the program it runs are kept together, keyed on the
-    trace axes (workload, register budgets, scale, instruction budget),
-    and leave the cache together.  The workload's initialized memory
-    image is *not* kept: capture needs it once and replay never reads
-    it (an image is up to 2.1 MB, doduc's; a trace is under 1 MB per
-    5,000 instructions).
+    Traces are keyed on the trace axes (workload, register budgets,
+    scale, instruction budget).  Neither the program nor the workload's
+    initialized memory image is kept: capture needs them once and
+    replay reads only the trace (an image is up to 2.1 MB, doduc's; a
+    trace is under 1 MB per 5,000 instructions).
     Grid drivers order their runs workload-major (see
     :func:`repro.eval.parallel.run_many`), so a small bound still gives
     every design of a workload a warm trace.
@@ -337,10 +336,6 @@ class _BuildCache:
     max_traces: int = 4
     max_plans: int = 4
     traces: OrderedDict = field(default_factory=OrderedDict)
-    #: The program behind each cached trace, under the same key: a
-    #: synthetic workload's static code, or the program synthesized for
-    #: an ingested external trace.
-    programs: OrderedDict = field(default_factory=OrderedDict)
     plans: OrderedDict = field(default_factory=OrderedDict)
     artifacts: ArtifactStore | None = None
 
@@ -354,29 +349,22 @@ class _BuildCache:
         """
         trace = self.traces.get(axes)
         if trace is None:
-            return self._load(axes)[1]
+            return self._load(axes)
         self.traces.move_to_end(axes)
-        self.programs.move_to_end(axes)
         return trace
 
-    def get_program(self, *axes):
-        """The program :meth:`get_trace` replays for the same axes."""
-        self.get_trace(*axes)  # loads or refreshes the pair
-        return self.programs[axes]
-
-    def _load(self, key: tuple):
-        """Hydrate or build ``(program, trace)`` for ``key`` and cache both."""
+    def _load(self, key: tuple) -> list:
+        """Hydrate or build the trace for ``key`` and cache it."""
         hydrated = self.artifacts.load_build(key) if self.artifacts is not None else None
-        program, trace = hydrated or self._build(key)
-        self.programs[key] = program
+        trace = hydrated[1] if hydrated else self._build(key)
         self.traces[key] = trace
         while len(self.traces) > self.max_traces:
-            evicted, _ = self.traces.popitem(last=False)
-            del self.programs[evicted]
-        return program, trace
+            self.traces.popitem(last=False)
+        return trace
 
-    def _build(self, key: tuple):
-        """Build ``(program, trace)`` and write it through to the store.
+    def _build(self, key: tuple) -> list:
+        """Build the trace for ``key`` and write it, with its program,
+        through to the store.
 
         A synthetic workload is built and its freshly built memory image
         captured in place — nothing else holds it — and dropped on
@@ -397,7 +385,7 @@ class _BuildCache:
                 self.artifacts.save_ingested(
                     key, compiled.program, compiled.trace, compiled.meta
                 )
-            return compiled.program, compiled.trace
+            return compiled.trace
         build = make_workload(workload).build(
             int_regs=int_regs, fp_regs=fp_regs, scale=scale
         )
@@ -406,7 +394,7 @@ class _BuildCache:
         )
         if self.artifacts is not None:
             self.artifacts.save_build(key, build.program, trace)
-        return build.program, trace
+        return trace
 
     def get_fetch_plan(
         self, req: "RunRequest", config: MachineConfig, trace: list
@@ -441,9 +429,8 @@ _CACHE = _BuildCache()
 
 
 def clear_build_cache() -> None:
-    """Drop cached programs, traces and fetch plans (frees their memory)."""
+    """Drop cached traces and fetch plans (frees their memory)."""
     _CACHE.traces.clear()
-    _CACHE.programs.clear()
     _CACHE.plans.clear()
 
 

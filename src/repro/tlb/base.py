@@ -92,12 +92,6 @@ class TranslationMechanism:
         arrays; the default covers mechanisms with no state.
         """
 
-    # -- helpers --------------------------------------------------------------
-
-    def vpn_of(self, vaddr: int) -> int:
-        """Virtual page number of a byte address."""
-        return vaddr >> self.page_shift
-
 
 class PortArbiter:
     """Queues requests for a fixed number of ports.

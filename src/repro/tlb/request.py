@@ -71,11 +71,6 @@ class TranslationResult:
         self.shielded = shielded
         self.depends_on = depends_on
 
-    @property
-    def stall_cycles(self) -> int:
-        """Added translation latency beyond the fully-overlapped path."""
-        return self.ready - self.req.cycle
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = []
         if self.tlb_miss:

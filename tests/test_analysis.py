@@ -10,7 +10,7 @@ from repro.analysis.profile import build_profile, workload_profile
 from repro.analysis.reusedist import StackDistanceAnalyzer
 from repro.eval.runner import _CACHE, RunRequest, run_one
 from repro.tlb.storage import FullyAssocTLB
-from repro.workloads import iter_workload_names
+from repro.workloads import iter_workload_names, make_workload
 
 
 def _miss_curve(pages, capacities=(4, 8, 16, 32, 64, 128)) -> dict:
@@ -181,7 +181,8 @@ class TestWorkloadProfile:
 
         store = ArtifactStore(tmp_path)
         axes = RunRequest("compress", "T4", max_instructions=3_000).build_axes
-        store.save_build(axes, _CACHE.get_program(*axes), _CACHE.get_trace(*axes))
+        program = make_workload("compress").build().program
+        store.save_build(axes, program, _CACHE.get_trace(*axes))
         built = workload_profile(axes, store)
         assert store.stats.misses == 1 and store.stats.puts == 2
         hydrated = workload_profile(axes, store)

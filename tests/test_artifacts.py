@@ -241,7 +241,6 @@ class TestBuildCacheHydration:
         monkeypatch.setattr("repro.eval.runner.make_workload", no_build)
         cold = _BuildCache(artifacts=store)
         hydrated = cold.get_trace(*AXES)
-        assert cold.get_program(*AXES).instructions
         assert [(d.pc, d.ea) for d in hydrated] == [(d.pc, d.ea) for d in trace]
 
     def test_hydrated_simulation_bit_identical(self, tmp_path):

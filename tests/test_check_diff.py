@@ -1,13 +1,16 @@
 """Tests for the differential harness (:mod:`repro.check.diff`)."""
 
-import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.check.__main__ import main
 from repro.check.diff import (
     CHECKS,
     Mismatch,
-    main,
     request_with_config,
     run_differential,
 )
@@ -15,6 +18,7 @@ from repro.engine.machine import Machine
 from repro.eval.artifacts import ArtifactStore
 from repro.eval.runner import RunRequest
 from repro.func.dyninst import DynInst
+from tests.test_ingest import trace_file  # noqa: F401  (fixture)
 
 FAST = dict(max_instructions=1200)
 
@@ -106,12 +110,31 @@ class TestRendering:
 
 
 class TestCli:
-    @pytest.mark.parametrize("name", ["kernel", "kernel-batch", "bogus"])
-    def test_unknown_check_fails_at_parse_time(self, capsys, name):
+    def test_ingested_trace_fuzzes_clean(self, trace_file, capsys):
+        """``python -m repro.check --trace`` fuzzes the trace as its only workload."""
+        argv = ["--trace", str(trace_file), "--trace-window", "400", "--trace-windows", "2",
+                "--designs", "T4,M8", "--insts", "800", "--iterations", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("ext@") == 2  # the trace file's stem names each point
+        assert "fuzz(seed=0): 2 iterations, 0 invariant violations, 0 differential" in out
+
+    def test_trace_and_workloads_are_exclusive(self, trace_file, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["--checks", f"loops,{name}", "--workloads", "compress"])
+            main(["--trace", str(trace_file), "--workloads", "compress"])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage:")
-        assert f"unknown check(s) {name}" in err
-        assert "loops,artifacts,functional" in err
+        assert "mutually exclusive" in capsys.readouterr().err
+
+    def test_removed_command_fails_and_names_the_sanitizer(self, tmp_path):
+        """A stale ``python -m repro.check.diff`` must not exit 0 having checked nothing."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.check.diff", "--designs", "T4"],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode != 0
+        assert "python -m repro.check`" in done.stderr

@@ -1,11 +1,11 @@
 """Tests for the config fuzzer and the ``python -m repro.check`` CLI."""
 
-import argparse
 import random
 
 import pytest
 
-from repro.check.__main__ import _design_list, main
+import repro.check.__main__ as check_cli
+from repro.check.__main__ import main
 from repro.check.diff import Mismatch
 from repro.check.fuzz import (
     FuzzRecord,
@@ -62,7 +62,8 @@ class TestRunFuzz:
         designs = [r.request.design for r in report.records]
         models = [r.request.issue_model for r in report.records]
         assert designs == ["T4", "M8", "T4", "M8"]
-        assert models == ["ooo", "inorder", "ooo", "inorder"]
+        # The phase flips on the second pass: each design gets both models.
+        assert models == ["ooo", "inorder", "inorder", "ooo"]
 
     def test_progress_callback_sees_every_record(self):
         seen = []
@@ -109,10 +110,20 @@ class TestReportAggregation:
 
 
 class TestCli:
-    def test_design_list_normalizes_and_validates(self):
-        assert _design_list("t4, m8") == ["T4", "M8"]
-        with pytest.raises(argparse.ArgumentTypeError, match="unknown design"):
-            _design_list("T4,NOPE")
+    def test_design_list_normalizes_and_validates(self, monkeypatch, capsys):
+        seen = {}
+
+        def fake_fuzz(**kwargs):
+            seen.update(kwargs)
+            return FuzzReport(seed=kwargs["seed"])
+
+        monkeypatch.setattr(check_cli, "run_fuzz", fake_fuzz)
+        assert main(["--designs", "t4,m8", "--quiet"]) == 0
+        assert seen["designs"] == ["T4", "M8"]
+        with pytest.raises(SystemExit) as exc:
+            main(["--designs", "T4,NOPE"])
+        assert exc.value.code == 2
+        assert "unknown design 'NOPE'" in capsys.readouterr().err
 
     def test_smoke_run_exits_zero(self, capsys):
         status = main(

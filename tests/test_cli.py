@@ -10,12 +10,11 @@ import repro.eval.parallel
 import repro.eval.runner
 from repro.__main__ import main as repro_main
 from repro.check.__main__ import main as check_main
-from repro.check.diff import main as diff_main
 from repro.eval.__main__ import main as eval_main
 from repro.eval.missrates import run_figure6
 from repro.eval.report import render_figure6
 from repro.eval.sensitivity import ALL_SWEEPS
-from repro.eval.options import workload_name
+from repro.eval.options import design_name, workload_name
 from repro.ingest import TraceRecord, parse_workload, trace_workload, write_portable
 from repro.ingest.__main__ import main as ingest_main
 from repro.serve.__main__ import main as serve_main
@@ -219,7 +218,8 @@ class TestEvalCli:
         ("repro", "run T4 --trace lk.ndjson --trace-seed -1"),
         ("check", "--insts 0"),
         ("check", "--iterations -1"),
-        ("check.diff", "--insts 0"),
+        ("check", "--designs BOGUS"),
+        ("check", "--workloads nosuch"),
         ("ingest", "compile lk.ndjson --max-instructions -4"),
         ("ingest", "compile lk.ndjson --int-regs 0"),
         ("ingest", "inspect lk.ndjson --trace-stride 0"),
@@ -234,7 +234,8 @@ def test_bad_arguments_rejected_at_parse_time(cli, argv, capsys, monkeypatch):
     monkeypatch.setattr(repro.eval.runner, "simulate", refuse)
     with pytest.raises(SystemExit) as exc:
         CLIS[cli](argv.split())
-    assert exc.value.code == 2 and "error: argument " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.startswith("usage:") and "error: argument " in err
 
 
 #: Every command-line entry point, by the module ``python -m`` runs.
@@ -242,7 +243,6 @@ CLIS = {
     "repro": repro_main,
     "eval": eval_main,
     "check": check_main,
-    "check.diff": diff_main,
     "ingest": ingest_main,
     "serve": serve_main,
 }
@@ -287,6 +287,25 @@ def test_no_integer_argument_is_unbounded(monkeypatch):
             typed += getattr(action.type, "__name__", "") == "int"
     assert not bare, f"integer arguments without a range: {bare}"
     assert typed > 20  # the walk reached the subcommands' flags
+
+
+def test_every_design_and_workload_list_is_a_comma_list(monkeypatch):
+    """``--designs``/``--workloads`` parse one way: ``comma_list`` from ``repro.eval.options``."""
+    untyped, lists = [], 0
+    for main in CLIS.values():
+        for prog, action in _actions(_parser_of(main, monkeypatch)):
+            if not {"--designs", "--workloads"} & set(action.option_strings):
+                continue
+            lists += 1
+            if not getattr(action.type, "__qualname__", "").startswith("comma_list."):
+                untyped.append(f"{prog} {'/'.join(action.option_strings)}")
+    assert not untyped, f"design/workload lists not typed by comma_list: {untyped}"
+    assert lists == 4  # repro.eval and repro.check, two lists each
+
+
+@pytest.mark.parametrize("text, canonical", [("t4", "T4"), ("i4/pb", "I4/PB"), ("M8", "M8")])
+def test_design_name_returns_the_canonical_key(text, canonical):
+    assert design_name(text) == canonical
 
 
 def test_trace_token_accepted_as_workload():

@@ -88,8 +88,7 @@ class TestRunner:
         )
         wide = ("espresso", 32, 32, 1.0, FAST["max_instructions"])
         narrow = ("espresso", 8, 8, 1.0, FAST["max_instructions"])
-        assert list(_CACHE.traces) == list(_CACHE.programs) == [wide, narrow]
-        assert _CACHE.programs[wide] is not _CACHE.programs[narrow]
+        assert list(_CACHE.traces) == [wide, narrow]
         assert _CACHE.traces[wide] is not _CACHE.traces[narrow]
 
 

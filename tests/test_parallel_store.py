@@ -427,14 +427,11 @@ class TestBuildCacheLRU:
             cache.get_trace(*self._axes("espresso", budget))
         assert len(cache.traces) == 2
         assert self._axes("espresso", 100) not in cache.traces
-        # A program leaves the cache with its trace.
-        assert list(cache.programs) == list(cache.traces)
 
     def test_lru_recency_respected(self):
         cache = _BuildCache(max_traces=2)
         cache.get_trace(*self._axes("espresso"))
         cache.get_trace(*self._axes("xlisp"))
-        cache.get_program(*self._axes("espresso"))  # refresh
+        cache.get_trace(*self._axes("espresso"))  # refresh
         cache.get_trace(*self._axes("compress"))  # evicts xlisp, not espresso
         assert list(cache.traces) == [self._axes("espresso"), self._axes("compress")]
-        assert list(cache.programs) == list(cache.traces)
