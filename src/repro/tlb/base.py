@@ -1,4 +1,4 @@
-"""Translation-mechanism interface and shared building blocks.
+"""Translation-mechanism interface, shared port accounting and building blocks.
 
 The timing engine drives a mechanism through three hooks:
 
@@ -37,7 +37,7 @@ class TranslationMechanism:
     #: avoid per-instruction overhead for everyone else.
     needs_register_events = False
 
-    def __init__(self, page_shift: int):
+    def __init__(self, page_shift: int = 12):
         self.page_shift = page_shift
         self.stats = TranslationStats()
 
@@ -91,6 +91,53 @@ class TranslationMechanism:
         structures when granted.  Subclasses override to clear their
         arrays; the default covers mechanisms with no state.
         """
+
+    # -- shared accounting (paper §4.1) -----------------------------------------
+
+    def _stall(self, cycles: int) -> None:
+        """Charge ``cycles`` of port queueing beyond the design's minimum."""
+        if cycles > 0:
+            self.stats.port_stall_cycles += cycles
+            self.stats.port_stalled_requests += 1
+
+    def _probe(self, tlb, req: TranslationRequest, stall: int) -> tuple[bool, int | None]:
+        """Access ``tlb`` with a port granted after ``stall`` queued cycles.
+
+        Charges the stall, counts the probe, fills the page on a miss
+        (counted too) and returns ``(hit, victim)``: the vpn the fill
+        evicted, else None.
+        """
+        self._stall(stall)
+        self.stats.base_probes += 1
+        if tlb.probe(req.vpn):
+            return True, None
+        self.stats.base_misses += 1
+        return False, tlb.insert(req.vpn)
+
+    def _ride(
+        self, arbiter: PortArbiter, now: int, hosts: dict, limit: int, results: list
+    ) -> None:
+        """Piggyback waiting same-page requests on this cycle's hosts.
+
+        ``hosts`` maps each granted vpn to ``(host seq, host missed)``.
+        Up to ``limit`` eligible requests of ``arbiter``, earliest first,
+        leave its queue and take their host's outcome this cycle: a rider
+        on a missing host shares its walk (``depends_on``).
+        """
+        riders = 0
+        for req in arbiter.peek_waiting(now):
+            if riders >= limit:
+                break
+            outcome = hosts.get(req.vpn)
+            if outcome is None:
+                continue
+            host_seq, missed = outcome
+            arbiter.remove(req)
+            riders += 1
+            self.stats.piggybacked += 1
+            self._stall(now - req.cycle)
+            host = host_seq if missed else None
+            results.append(TranslationResult(req, ready=now, tlb_miss=missed, depends_on=host))
 
 
 class PortArbiter:
@@ -213,3 +260,64 @@ class _StatusWrite:
 
     def __init__(self, vpn: int):
         self.vpn = vpn
+
+
+class ShieldedTLB(TranslationMechanism):
+    """A shield in front of a port-arbitrated base TLB (paper §3.3, §3.5).
+
+    The shield (an L1 TLB, a pretranslation cache, a BAC/THB) answers a
+    hit at zero added latency; its first reference or write to a page
+    writes the status change through to the base TLB, taking a port
+    cycle.  A shield miss is forwarded to the base the following cycle,
+    and queueing beyond that cycle is port stall.  Subclasses supply the
+    shield's policy only:
+
+    * ``_hit(req)`` — does the shield translate ``req``?
+    * ``_fill(req, victim)`` — update the shield after ``req`` accessed
+      the base TLB, whose fill evicted ``victim`` (a vpn, or None).
+    """
+
+    #: Cycles from the base-TLB grant until the translation is ready.
+    BASE_ACCESS_CYCLES = 0
+
+    def __init__(self, shield, base, base_ports: int, page_shift: int):
+        super().__init__(page_shift)
+        self.shield = shield
+        self.base = base
+        self.arbiter = PortArbiter(base_ports)
+        self.status = PageStatusTable()
+
+    def request(self, req: TranslationRequest) -> TranslationResult | None:
+        self.stats.requests += 1
+        if self._hit(req):
+            self.stats.shielded += 1
+            if self.status.needs_update(req.vpn, req.is_write):
+                self.status.update(req.vpn, req.is_write)
+                self.stats.status_writes += 1
+                self.arbiter.submit(req.cycle, req.seq, _StatusWrite(req.vpn))
+            return TranslationResult(req, ready=req.cycle, shielded=True)
+        self.arbiter.submit(req.cycle + 1, req.seq, req)
+        return None
+
+    def tick(self, now: int) -> list[TranslationResult]:
+        results: list[TranslationResult] = []
+        for req in self.arbiter.grant(now):
+            if isinstance(req, _StatusWrite):
+                continue  # consumes the port cycle; nothing to report
+            hit, victim = self._probe(self.base, req, now - (req.cycle + 1))
+            self._fill(req, victim)
+            self.status.update(req.vpn, req.is_write)
+            ready = now + self.BASE_ACCESS_CYCLES
+            results.append(TranslationResult(req, ready=ready, tlb_miss=not hit))
+        return results
+
+    def pending(self) -> int:
+        return len(self.arbiter)
+
+    def quiescent_until(self, now: int) -> int:
+        return self.arbiter.quiescent_until(now)
+
+    def flush(self) -> None:
+        self.shield.flush()
+        self.base.flush()
+        self.status = PageStatusTable()

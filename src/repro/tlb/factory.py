@@ -16,8 +16,7 @@ from typing import Any
 from repro.tlb.base import TranslationMechanism
 from repro.tlb.interleaved import InterleavedTLB
 from repro.tlb.multilevel import MultiLevelTLB
-from repro.tlb.multiported import MultiPortedTLB, PerfectTLB
-from repro.tlb.piggyback import PiggybackTLB
+from repro.tlb.multiported import MultiPortedTLB, PerfectTLB, PiggybackTLB
 from repro.tlb.pretranslation import PretranslationMechanism
 from repro.tlb.related import BranchAddressCache, TranslationHintBuffer
 

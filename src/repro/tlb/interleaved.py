@@ -65,8 +65,6 @@ class InterleavedTLB(TranslationMechanism):
             for i in range(banks)
         ]
         self._arbiters = [PortArbiter(1) for _ in range(banks)]
-        #: Same-cycle same-bank conflicts observed (diagnostic).
-        self.bank_conflicts = 0
 
     def request(self, req: TranslationRequest) -> TranslationResult | None:
         self.stats.requests += 1
@@ -75,47 +73,16 @@ class InterleavedTLB(TranslationMechanism):
 
     def tick(self, now: int) -> list[TranslationResult]:
         results: list[TranslationResult] = []
+        riders = self.piggyback_per_bank
         for bank, arbiter in enumerate(self._arbiters):
             granted = arbiter.grant(now)
             if not granted:
                 continue
-            storage = self._banks[bank]
             req = granted[0]
-            stall = now - req.cycle
-            if stall > 0:
-                self.stats.port_stall_cycles += stall
-                self.stats.port_stalled_requests += 1
-            self.stats.base_probes += 1
-            hit = storage.probe(req.vpn)
-            if not hit:
-                self.stats.base_misses += 1
-                storage.insert(req.vpn)
+            hit, _ = self._probe(self._banks[bank], req, now - req.cycle)
             results.append(TranslationResult(req, ready=now, tlb_miss=not hit))
-            waiting = arbiter.peek_waiting(now)
-            if waiting:
-                self.bank_conflicts += len(waiting)
-            if self.piggyback_per_bank:
-                riders = 0
-                for rider in waiting:
-                    if riders >= self.piggyback_per_bank:
-                        break
-                    if rider.vpn != req.vpn:
-                        continue
-                    arbiter.remove(rider)
-                    riders += 1
-                    self.stats.piggybacked += 1
-                    rider_stall = now - rider.cycle
-                    if rider_stall > 0:
-                        self.stats.port_stall_cycles += rider_stall
-                        self.stats.port_stalled_requests += 1
-                    results.append(
-                        TranslationResult(
-                            rider,
-                            ready=now,
-                            tlb_miss=not hit,
-                            depends_on=req.seq if not hit else None,
-                        )
-                    )
+            if riders:
+                self._ride(arbiter, now, {req.vpn: (req.seq, not hit)}, riders, results)
         return results
 
     def pending(self) -> int:

@@ -20,16 +20,19 @@ Consistency (paper §4.1):
 
 from __future__ import annotations
 
-from repro.tlb.base import PageStatusTable, PortArbiter, TranslationMechanism, _StatusWrite
-from repro.tlb.request import TranslationRequest, TranslationResult
+from repro.tlb.base import ShieldedTLB
+from repro.tlb.request import TranslationRequest
 from repro.tlb.storage import FullyAssocTLB
 
 
-class MultiLevelTLB(TranslationMechanism):
-    """An L1/L2 TLB hierarchy with inclusion and status write-through."""
+class MultiLevelTLB(ShieldedTLB):
+    """An L1/L2 TLB hierarchy with inclusion and status write-through.
+
+    The L1 is the shield (``l1``) and the L2 the base TLB (``base``).
+    """
 
     #: Added latency of the L2 access itself after the forward cycle.
-    L2_ACCESS_CYCLES = 1
+    BASE_ACCESS_CYCLES = 1
 
     def __init__(
         self,
@@ -41,67 +44,29 @@ class MultiLevelTLB(TranslationMechanism):
         page_shift: int = 12,
         seed: int = 0xBEEF_CAFE,
     ):
-        super().__init__(page_shift)
-        self.l1 = FullyAssocTLB(l1_entries, replacement=l1_replacement, seed=seed)
-        self.l2 = FullyAssocTLB(l2_entries, replacement="random", seed=seed ^ 0x5A5A)
+        super().__init__(
+            FullyAssocTLB(l1_entries, replacement=l1_replacement, seed=seed),
+            FullyAssocTLB(l2_entries, replacement="random", seed=seed ^ 0x5A5A),
+            l2_ports,
+            page_shift,
+        )
         self.l1_ports = l1_ports
-        self.arbiter = PortArbiter(l2_ports)
-        self.status = PageStatusTable()
 
-    def request(self, req: TranslationRequest) -> TranslationResult | None:
-        self.stats.requests += 1
-        if self.l1.probe(req.vpn):
-            self.stats.shielded += 1
-            if self.status.needs_update(req.vpn, req.is_write):
-                # Write the status change through to the L2 port queue.
-                self.status.update(req.vpn, req.is_write)
-                self.stats.status_writes += 1
-                self.arbiter.submit(req.cycle, req.seq, _StatusWrite(req.vpn))
-            return TranslationResult(req, ready=req.cycle, shielded=True)
-        # Forwarded to the L2 the following cycle.
-        self.arbiter.submit(req.cycle + 1, req.seq, req)
-        return None
+    @property
+    def l1(self) -> FullyAssocTLB:
+        """The L1 TLB (the shield)."""
+        return self.shield
 
-    def tick(self, now: int) -> list[TranslationResult]:
-        results: list[TranslationResult] = []
-        for payload in self.arbiter.grant(now):
-            if isinstance(payload, _StatusWrite):
-                continue  # consumes the port cycle; nothing to report
-            req: TranslationRequest = payload
-            # Queueing beyond the mandatory forward cycle is port stall.
-            stall = now - (req.cycle + 1)
-            if stall > 0:
-                self.stats.port_stall_cycles += stall
-                self.stats.port_stalled_requests += 1
-            self.stats.base_probes += 1
-            hit = self.l2.probe(req.vpn)
-            if not hit:
-                self.stats.base_misses += 1
-                victim = self.l2.insert(req.vpn)
-                if victim is not None:
-                    # Enforce inclusion: the L1 may not cache a page the
-                    # L2 no longer holds.
-                    self.l1.invalidate(victim)
-            self.l1.insert(req.vpn)
-            self.status.update(req.vpn, req.is_write)
-            results.append(
-                TranslationResult(
-                    req, ready=now + self.L2_ACCESS_CYCLES, tlb_miss=not hit
-                )
-            )
-        return results
+    def _hit(self, req: TranslationRequest) -> bool:
+        return self.shield.probe(req.vpn)
 
-    def pending(self) -> int:
-        return len(self.arbiter)
-
-    def quiescent_until(self, now: int) -> int:
-        return self.arbiter.quiescent_until(now)
-
-    def flush(self) -> None:
-        self.l1.flush()
-        self.l2.flush()
-        self.status = PageStatusTable()
+    def _fill(self, req: TranslationRequest, victim: int | None) -> None:
+        if victim is not None:
+            # Enforce inclusion: the L1 may not cache a page the L2 no
+            # longer holds.
+            self.shield.invalidate(victim)
+        self.shield.insert(req.vpn)
 
     def check_inclusion(self) -> bool:
         """True when every L1 entry is also in the L2 (test hook)."""
-        return all(vpn in self.l2 for vpn in self.l1.resident())
+        return all(vpn in self.base for vpn in self.shield.resident())

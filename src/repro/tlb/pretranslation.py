@@ -25,8 +25,8 @@ register-write events (decode order) for attachment propagation.
 
 from __future__ import annotations
 
-from repro.tlb.base import PageStatusTable, PortArbiter, TranslationMechanism, _StatusWrite
-from repro.tlb.request import TranslationRequest, TranslationResult
+from repro.tlb.base import ShieldedTLB
+from repro.tlb.request import TranslationRequest
 from repro.tlb.storage import FullyAssocTLB
 
 #: Pretranslation tags take the upper bits of a 16-bit displacement;
@@ -94,7 +94,7 @@ class PretranslationCache:
                 del self._by_reg[tag[0]]
 
 
-class PretranslationMechanism(TranslationMechanism):
+class PretranslationMechanism(ShieldedTLB):
     """P8: an 8-entry pretranslation cache over a single-ported base TLB."""
 
     needs_register_events = True
@@ -108,15 +108,21 @@ class PretranslationMechanism(TranslationMechanism):
         page_shift: int = 12,
         seed: int = 0xBEEF_CAFE,
     ):
-        super().__init__(page_shift)
         if not 0 <= offset_tag_bits <= 8:
             raise ValueError(f"offset_tag_bits out of range: {offset_tag_bits}")
+        super().__init__(
+            PretranslationCache(cache_entries),
+            FullyAssocTLB(base_entries, replacement="random", seed=seed),
+            base_ports,
+            page_shift,
+        )
         self.offset_tag_bits = offset_tag_bits
         self._offset_mask = (1 << offset_tag_bits) - 1
-        self.pcache = PretranslationCache(cache_entries)
-        self.base = FullyAssocTLB(base_entries, replacement="random", seed=seed)
-        self.arbiter = PortArbiter(base_ports)
-        self.status = PageStatusTable()
+
+    @property
+    def pcache(self) -> PretranslationCache:
+        """The pretranslation cache (the shield)."""
+        return self.shield
 
     # -- tagging ---------------------------------------------------------------
 
@@ -141,71 +147,31 @@ class PretranslationMechanism(TranslationMechanism):
 
     def on_register_write(self, dests: tuple, srcs: tuple) -> None:
         """Propagate attachments through pointer arithmetic (decode order)."""
+        pcache = self.shield
         for src in srcs:
-            tags = self.pcache.tags_of(src)
+            tags = pcache.tags_of(src)
             if not tags:
                 continue
             for tag in tags:
-                vpn = self.pcache.get(tag)
+                vpn = pcache.get(tag)
                 if vpn is None:
                     continue
                 for dst in dests:
                     if dst == src:
                         continue  # self-update keeps its attachment as-is
-                    self.pcache.insert((dst, tag[1]), vpn)
+                    pcache.insert((dst, tag[1]), vpn)
 
-    def request(self, req: TranslationRequest) -> TranslationResult | None:
-        self.stats.requests += 1
+    def _hit(self, req: TranslationRequest) -> bool:
+        tag = self.tag_of(req)
+        return tag is not None and self.shield.lookup(tag) == req.vpn
+
+    def _fill(self, req: TranslationRequest, victim: int | None) -> None:
+        if victim is not None:
+            # Coherence rule: flush all attachments whenever a base-TLB
+            # entry is replaced.
+            self.shield.flush()
+            self.stats.shield_flushes += 1
+        # Attach the translation to the base register value.
         tag = self.tag_of(req)
         if tag is not None:
-            attached = self.pcache.lookup(tag)
-            if attached == req.vpn:
-                self.stats.shielded += 1
-                if self.status.needs_update(req.vpn, req.is_write):
-                    self.status.update(req.vpn, req.is_write)
-                    self.stats.status_writes += 1
-                    self.arbiter.submit(req.cycle, req.seq, _StatusWrite(req.vpn))
-                return TranslationResult(req, ready=req.cycle, shielded=True)
-        # Miss detected the cycle after address generation; the base TLB
-        # access itself happens at the grant cycle.
-        self.arbiter.submit(req.cycle + 1, req.seq, req)
-        return None
-
-    def tick(self, now: int) -> list[TranslationResult]:
-        results: list[TranslationResult] = []
-        for payload in self.arbiter.grant(now):
-            if isinstance(payload, _StatusWrite):
-                continue
-            req: TranslationRequest = payload
-            stall = now - (req.cycle + 1)
-            if stall > 0:
-                self.stats.port_stall_cycles += stall
-                self.stats.port_stalled_requests += 1
-            self.stats.base_probes += 1
-            hit = self.base.probe(req.vpn)
-            if not hit:
-                self.stats.base_misses += 1
-                victim = self.base.insert(req.vpn)
-                if victim is not None:
-                    # Coherence rule: flush all attachments whenever a
-                    # base-TLB entry is replaced.
-                    self.pcache.flush()
-                    self.stats.shield_flushes += 1
-            # Attach the translation to the base register value.
-            tag = self.tag_of(req)
-            if tag is not None:
-                self.pcache.insert(tag, req.vpn)
-            self.status.update(req.vpn, req.is_write)
-            results.append(TranslationResult(req, ready=now, tlb_miss=not hit))
-        return results
-
-    def pending(self) -> int:
-        return len(self.arbiter)
-
-    def quiescent_until(self, now: int) -> int:
-        return self.arbiter.quiescent_until(now)
-
-    def flush(self) -> None:
-        self.pcache.flush()
-        self.base.flush()
-        self.status = PageStatusTable()
+            self.shield.insert(tag, req.vpn)

@@ -23,49 +23,22 @@ designs isolate exactly the attachment policy.
 
 from __future__ import annotations
 
-from repro.tlb.base import PageStatusTable, PortArbiter, TranslationMechanism, _StatusWrite
-from repro.tlb.request import TranslationRequest, TranslationResult
+from repro.tlb.base import ShieldedTLB
+from repro.tlb.pretranslation import PretranslationCache
+from repro.tlb.request import TranslationRequest
 from repro.tlb.storage import FullyAssocTLB
 
 
-class _PcIndexedCache:
-    """Small LRU cache: static instruction tag -> last vpn."""
-
-    def __init__(self, entries: int):
-        if entries <= 0:
-            raise ValueError(f"entries must be positive: {entries}")
-        self.entries = entries
-        self._cache: dict[int, int] = {}
-
-    def lookup(self, tag: int) -> int | None:
-        vpn = self._cache.get(tag)
-        if vpn is not None:
-            del self._cache[tag]
-            self._cache[tag] = vpn
-        return vpn
-
-    def insert(self, tag: int, vpn: int) -> None:
-        if tag in self._cache:
-            del self._cache[tag]
-        elif len(self._cache) >= self.entries:
-            del self._cache[next(iter(self._cache))]
-        self._cache[tag] = vpn
-
-    def flush(self) -> None:
-        self._cache.clear()
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-
-class BranchAddressCache(TranslationMechanism):
+class BranchAddressCache(ShieldedTLB):
     """BAC-style per-static-instruction translation reuse.
 
     The tag is the requesting instruction's address; the engine does not
     currently thread the PC through translation requests, so the *base
     register + displacement* pair — which identifies the static access
     site in our builder-generated code — stands in for it.  A hit
-    requires the access to land on the page the site last touched.
+    requires the access to land on the page the site last touched.  The
+    site -> page cache is a :class:`PretranslationCache` (LRU) filled
+    only on base-TLB accesses, never by register propagation.
     """
 
     #: When True, a hit is also scored on the page after the cached one
@@ -80,73 +53,40 @@ class BranchAddressCache(TranslationMechanism):
         page_shift: int = 12,
         seed: int = 0xBEEF_CAFE,
     ):
-        super().__init__(page_shift)
-        self.cache = _PcIndexedCache(cache_entries)
-        self.base = FullyAssocTLB(base_entries, replacement="random", seed=seed)
-        self.arbiter = PortArbiter(base_ports)
-        self.status = PageStatusTable()
+        super().__init__(
+            PretranslationCache(cache_entries),
+            FullyAssocTLB(base_entries, replacement="random", seed=seed),
+            base_ports,
+            page_shift,
+        )
 
     @staticmethod
-    def _tag(req: TranslationRequest) -> int | None:
+    def _tag(req: TranslationRequest) -> tuple[int, int] | None:
         if req.base_reg is None:
             return None
-        return (req.base_reg << 16) ^ (req.offset & 0xFFFF)
+        return (req.base_reg, req.offset & 0xFFFF)
 
-    def request(self, req: TranslationRequest) -> TranslationResult | None:
-        self.stats.requests += 1
+    def _hit(self, req: TranslationRequest) -> bool:
+        tag = self._tag(req)
+        if tag is None:
+            return False
+        cached = self.shield.lookup(tag)
+        if cached is None:
+            return False
+        if cached == req.vpn:
+            return True
+        if self.next_page_hint and req.vpn == cached + 1:
+            self.shield.insert(tag, req.vpn)
+            return True
+        return False
+
+    def _fill(self, req: TranslationRequest, victim: int | None) -> None:
+        if victim is not None:
+            self.shield.flush()
+            self.stats.shield_flushes += 1
         tag = self._tag(req)
         if tag is not None:
-            cached = self.cache.lookup(tag)
-            if cached is not None:
-                hit = cached == req.vpn
-                if not hit and self.next_page_hint and req.vpn == cached + 1:
-                    hit = True
-                    self.cache.insert(tag, req.vpn)
-                if hit:
-                    self.stats.shielded += 1
-                    if self.status.needs_update(req.vpn, req.is_write):
-                        self.status.update(req.vpn, req.is_write)
-                        self.stats.status_writes += 1
-                        self.arbiter.submit(req.cycle, req.seq, _StatusWrite(req.vpn))
-                    return TranslationResult(req, ready=req.cycle, shielded=True)
-        self.arbiter.submit(req.cycle + 1, req.seq, req)
-        return None
-
-    def tick(self, now: int) -> list[TranslationResult]:
-        results: list[TranslationResult] = []
-        for payload in self.arbiter.grant(now):
-            if isinstance(payload, _StatusWrite):
-                continue
-            req: TranslationRequest = payload
-            stall = now - (req.cycle + 1)
-            if stall > 0:
-                self.stats.port_stall_cycles += stall
-                self.stats.port_stalled_requests += 1
-            self.stats.base_probes += 1
-            hit = self.base.probe(req.vpn)
-            if not hit:
-                self.stats.base_misses += 1
-                victim = self.base.insert(req.vpn)
-                if victim is not None:
-                    self.cache.flush()
-                    self.stats.shield_flushes += 1
-            tag = self._tag(req)
-            if tag is not None:
-                self.cache.insert(tag, req.vpn)
-            self.status.update(req.vpn, req.is_write)
-            results.append(TranslationResult(req, ready=now, tlb_miss=not hit))
-        return results
-
-    def pending(self) -> int:
-        return len(self.arbiter)
-
-    def quiescent_until(self, now: int) -> int:
-        return self.arbiter.quiescent_until(now)
-
-    def flush(self) -> None:
-        self.cache.flush()
-        self.base.flush()
-        self.status = PageStatusTable()
+            self.shield.insert(tag, req.vpn)
 
 
 class TranslationHintBuffer(BranchAddressCache):

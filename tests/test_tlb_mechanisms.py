@@ -1,16 +1,18 @@
 """Behavioural tests of the translation mechanisms' port and queueing
-semantics (multi-ported, interleaved, piggyback), matching paper §4.1.
+semantics (multi-ported, interleaved, piggyback, the shared shield path),
+matching paper §4.1.
 """
 
 import pytest
 
+from repro.check.invariants import _rider_capacity
 from repro.tlb.bankselect import bit_select, xor_fold
-from repro.tlb.base import PortArbiter
+from repro.tlb.base import PortArbiter, ShieldedTLB
 from repro.tlb.factory import DESIGN_MNEMONICS, make_mechanism
 from repro.tlb.interleaved import InterleavedTLB
-from repro.tlb.multiported import MultiPortedTLB, PerfectTLB
-from repro.tlb.piggyback import PiggybackTLB
+from repro.tlb.multiported import MultiPortedTLB, PerfectTLB, PiggybackTLB
 from repro.tlb.request import TranslationRequest
+from repro.tlb.storage import FullyAssocTLB
 
 
 def _req(seq, vpn, cycle=0, **kw):
@@ -149,6 +151,77 @@ class TestPiggyback:
         assert all(results[s].ready == 0 for s in range(4))
         assert mech.stats.piggybacked == 2
 
+    def test_plain_ports_have_zero_rider_capacity(self):
+        # The sanitizer therefore fails any T-design tick that piggybacks.
+        assert _rider_capacity(make_mechanism("T4"), 1) == 0
+        assert _rider_capacity(make_mechanism("PB1"), 1) == 3
+
+
+class _OneEntryShield(ShieldedTLB):
+    """The smallest shield: one LRU entry over a two-entry, one-port base."""
+
+    def __init__(self):
+        super().__init__(
+            FullyAssocTLB(1, replacement="lru"), FullyAssocTLB(2, replacement="lru"), 1, 12
+        )
+        self.victims = []
+
+    def _hit(self, req):
+        return req.vpn in self.shield
+
+    def _fill(self, req, victim):
+        self.victims.append(victim)
+        self.shield.insert(req.vpn)
+
+
+class TestShieldedContract:
+    def test_shield_hit_is_free_but_its_status_change_takes_a_port(self):
+        mech = _OneEntryShield()
+        mech.request(_req(0, vpn=1))
+        _drain(mech)
+        hit = mech.request(_req(1, vpn=1, cycle=10, is_write=True))
+        assert hit.shielded and hit.ready == 10 and not hit.tlb_miss
+        assert mech.stats.status_writes == 1 and mech.pending() == 1
+        # A miss forwarded into cycle 10 queues behind the status write.
+        assert mech.request(_req(2, vpn=2, cycle=9)) is None
+        results = _drain(mech, start=10)
+        assert results[2].ready == 11
+        assert mech.stats.port_stall_cycles == 1
+        # The base access referenced the page: a shielded read of it
+        # changes no status, its first write does.
+        assert mech.request(_req(3, vpn=2, cycle=20)).shielded
+        assert mech.stats.status_writes == 1 and mech.pending() == 0
+        assert mech.request(_req(4, vpn=2, cycle=20, is_write=True)).shielded
+        assert mech.stats.status_writes == 2 and mech.pending() == 1
+
+    def test_miss_is_granted_a_cycle_later_and_stalls_from_there(self):
+        mech = _OneEntryShield()
+        assert mech.request(_req(0, vpn=1)) is None
+        assert mech.request(_req(1, vpn=2)) is None
+        assert mech.tick(0) == [] and mech.quiescent_until(0) == 1
+        results = _drain(mech, start=1)
+        assert [results[s].ready for s in (0, 1)] == [1, 2]
+        assert all(results[s].tlb_miss for s in (0, 1))
+        assert mech.stats.port_stall_cycles == 1
+        assert mech.stats.port_stalled_requests == 1
+        assert mech.stats.base_probes == mech.stats.base_misses == 2
+
+    def test_base_victim_reaches_fill(self):
+        mech = _OneEntryShield()
+        for seq, vpn in enumerate((1, 2, 3)):
+            mech.request(_req(seq, vpn=vpn, cycle=10 * seq))
+            _drain(mech, start=10 * seq)
+        assert mech.victims == [None, None, 1]
+
+    def test_flush_clears_shield_base_and_status(self):
+        mech = _OneEntryShield()
+        mech.request(_req(0, vpn=1, is_write=True))
+        _drain(mech)
+        mech.flush()
+        assert len(mech.shield) == 0 and len(mech.base) == 0
+        assert mech.status.needs_update(1, is_write=False)
+        assert mech.request(_req(1, vpn=1, cycle=10)) is None
+
 
 class TestInterleaved:
     def test_different_banks_in_parallel(self):
@@ -164,7 +237,7 @@ class TestInterleaved:
             mech.request(_req(seq, vpn=4 * seq))  # all bank 0
         results = _drain(mech)
         assert [results[s].ready for s in range(3)] == [0, 1, 2]
-        assert mech.bank_conflicts > 0
+        assert mech.stats.port_stall_cycles == 3
 
     def test_bank_capacity_is_entries_over_banks(self):
         mech = InterleavedTLB(banks=4, entries=128, page_shift=12)

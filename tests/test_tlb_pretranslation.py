@@ -2,6 +2,8 @@
 (paper §3.5 / §4.1).
 """
 
+import pytest
+
 from repro.tlb.pretranslation import (
     OFFSET_TAG_SHIFT,
     PretranslationCache,
@@ -33,6 +35,10 @@ def _drain(mech, start=0, horizon=60):
 
 
 class TestCache:
+    def test_entries_must_be_positive(self):
+        with pytest.raises(ValueError):
+            PretranslationCache(0)
+
     def test_lru_eviction(self):
         c = PretranslationCache(2)
         c.insert((1, 0), 100)

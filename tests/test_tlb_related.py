@@ -6,7 +6,7 @@ import pytest
 from repro.tlb.factory import EXTENSION_MNEMONICS, make_mechanism
 from repro.tlb.multilevel import MultiLevelTLB
 from repro.tlb.pretranslation import PretranslationMechanism
-from repro.tlb.related import BranchAddressCache, TranslationHintBuffer, _PcIndexedCache
+from repro.tlb.related import BranchAddressCache, TranslationHintBuffer
 from repro.tlb.request import TranslationRequest
 
 
@@ -24,21 +24,6 @@ def _drain(mech, start=0, horizon=60):
         if mech.pending() == 0:
             break
     return results
-
-
-class TestPcIndexedCache:
-    def test_lru(self):
-        c = _PcIndexedCache(2)
-        c.insert(1, 10)
-        c.insert(2, 20)
-        c.lookup(1)
-        c.insert(3, 30)
-        assert c.lookup(2) is None
-        assert c.lookup(1) == 10
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            _PcIndexedCache(0)
 
 
 class TestBAC:
