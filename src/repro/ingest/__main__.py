@@ -5,9 +5,9 @@
 * ``inspect`` — summarize a portable trace (record counts by class,
   address footprint, window preview for a given spec);
 * ``compile`` — compile a windowed sample into engine build products
-  and report the synthesized program's shape; with ``--artifacts`` the
-  build is stored through the artifact cache so later ``repro.eval``
-  runs over the same token hydrate instead of recompiling.
+  and report the workload token and the synthesized program's shape.
+  Runs over the token store their build in the artifact cache
+  themselves, the first time they compile it.
 
 Every command streams, so multi-gigabyte captures are fine.
 """
@@ -17,13 +17,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from repro.eval.options import REGS_RANGE, int_at_least, int_in_range
 from repro.ingest.build import (
     add_window_args,
     compile_workload,
-    parse_workload,
     trace_workload,
     window_from_args,
 )
@@ -31,7 +29,6 @@ from repro.ingest.convert import convert_csv, convert_lackey
 from repro.ingest.format import (
     IngestError,
     MEM_CLASSES,
-    count_records,
     read_portable,
     write_portable,
 )
@@ -46,18 +43,18 @@ def _cmd_convert(args) -> int:
         records = convert_lackey(args.input)
     else:
         records = convert_csv(args.input)
-    count = write_portable(args.output, records, binary=args.binary)
-    form = "binary" if args.binary else "ndjson"
-    print(f"wrote {count} records to {args.output} ({form})")
+    count = write_portable(args.output, records)
+    print(f"wrote {count} records to {args.output}")
     return 0
 
 
 def _cmd_inspect(args) -> int:
-    total = count_records(args.input)
+    total = 0
     by_class: "dict[str, int]" = {}
     pages = set()
     code_pages = set()
     for rec in read_portable(args.input):
+        total += 1
         by_class[rec.op] = by_class.get(rec.op, 0) + 1
         code_pages.add(rec.pc >> 12)
         if rec.op in MEM_CLASSES:
@@ -84,34 +81,12 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_compile(args) -> int:
     token = trace_workload(args.input, window_from_args(args))
-    budget = args.max_instructions
-    if args.artifacts:
-        # Key the build as the runner looks it up: RunRequest's axes,
-        # with its default budget unless one is given.
-        from repro.eval.runner import RunRequest
-
-        if budget is None:
-            budget = RunRequest.max_instructions
-        axes = RunRequest(
-            token, "T4", int_regs=args.int_regs, fp_regs=args.fp_regs,
-            max_instructions=budget,
-        ).build_axes
     compiled = compile_workload(
         token,
         int_regs=args.int_regs,
         fp_regs=args.fp_regs,
-        max_instructions=budget,
+        max_instructions=args.max_instructions,
     )
-    if args.artifacts:
-        from repro.eval.artifacts import ArtifactStore
-
-        ArtifactStore(Path(args.artifacts)).save_ingested(
-            axes, compiled.program, compiled.trace, compiled.meta
-        )
-        print(
-            f"stored ingested build for {parse_workload(token).display} "
-            f"in {args.artifacts}"
-        )
     print(
         json.dumps(
             {
@@ -145,11 +120,6 @@ def main(argv: "list[str] | None" = None) -> int:
         help="capture format (default: csv for .csv/.csv.gz inputs, "
         "lackey for anything else)",
     )
-    convert.add_argument(
-        "--binary",
-        action="store_true",
-        help="write the packed RPTX form instead of NDJSON",
-    )
     convert.set_defaults(func=_cmd_convert)
 
     inspect = sub.add_parser("inspect", help="summarize a portable trace")
@@ -167,14 +137,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "--max-instructions",
         type=int_at_least(1),
         default=None,
-        help="truncate the sample to this many records (with --artifacts, "
-        "default: the budget runs use when they name none)",
-    )
-    compile_.add_argument(
-        "--artifacts",
-        default=None,
-        metavar="DIR",
-        help="store the compiled build in this artifact cache",
+        help="truncate the sample to this many records",
     )
     add_window_args(compile_)
     compile_.set_defaults(func=_cmd_compile)

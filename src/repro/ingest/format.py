@@ -24,27 +24,18 @@ it.  A *portable trace* is a flat stream of :class:`TraceRecord`::
 An instruction that performs several memory references appears once per
 reference (same ``pc``); an instruction with none appears exactly once.
 
-Two serializations carry the stream.  :func:`write_portable` picks one
-by its ``binary`` argument, :func:`read_portable` tells them apart by
-the ``RPTX`` magic, and either is gzip-compressed transparently when the
-path ends in ``.gz``:
+The stream is serialized as **NDJSON**: a header line
+``{"format": "repro-trace", "version": 1}`` followed by one JSON object
+per record: ``{"op": "load", "pc": 74565, "ea": 9645, "size": 4}``
+(``ea`` may be omitted for non-memory classes, ``size`` defaults to 4;
+``pc``/``ea``/``size`` must be JSON integers).  Line-oriented,
+greppable and diffable; the file is gzip-compressed transparently when
+its path ends in ``.gz``.
 
-* **NDJSON** (the default) — a header line
-  ``{"format": "repro-trace", "version": 1}`` followed by one JSON
-  object per record: ``{"op": "load", "pc": 74565, "ea": 9645, "size":
-  4}`` (``ea`` may be omitted for non-memory classes, ``size`` defaults
-  to 4; ``pc``/``ea``/``size`` must be JSON integers).  Line-oriented,
-  greppable, diffable — the interchange default.
-* **binary** — header ``RPTX``, version, record count; then one packed
-  20-byte record per reference (``<QQHBx``: pc, ea+1 with 0 = none,
-  size clamped to 65535, op code).  On the committed 110,982-record
-  lackey fixture it is 2.2x smaller than NDJSON and about 2x faster to
-  read back; use it for multi-million-reference streams.
-
-Both forms stream: readers yield records one at a time and never
-materialize the file, so window selection over huge traces stays
+The reader streams: it yields records one at a time and never
+materializes the file, so window selection over huge traces stays
 memory-flat.  Malformed input raises :class:`IngestError` with the
-offending line (NDJSON) or record index (binary).
+offending line.
 """
 
 from __future__ import annotations
@@ -53,25 +44,20 @@ import gzip
 import hashlib
 import json
 import re
-import struct
 import zlib
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
-#: Recognized record classes, in the binary format's code order.
+#: Recognized record classes.
 OP_CLASSES = ("other", "load", "store", "modify", "branch", "fp", "nop")
-_OP_CODE = {name: i for i, name in enumerate(OP_CLASSES)}
+_KNOWN_OPS = frozenset(OP_CLASSES)
 #: Classes that carry (and require) an effective address.
 MEM_CLASSES = frozenset(("load", "store", "modify"))
 
 FORMAT_NAME = "repro-trace"
 FORMAT_VERSION = 1
-
-_BIN_MAGIC = b"RPTX"
-_BIN_HEADER = struct.Struct("<4sHxxQ")
-_BIN_RECORD = struct.Struct("<QQHBx")
 
 
 class IngestError(ValueError):
@@ -109,7 +95,7 @@ def record_problem(op, pc, ea, size) -> "str | None":
     ``size`` and (when present) ``ea`` must be non-negative ints (bools
     excluded); memory classes require ``ea``.
     """
-    if not isinstance(op, str) or op not in _OP_CODE:
+    if not isinstance(op, str) or op not in _KNOWN_OPS:
         return f"unknown op class {op!r} (expected one of {', '.join(OP_CLASSES)})"
     if type(pc) is not int:
         return f"pc is not an integer: {pc!r}"
@@ -172,8 +158,6 @@ _CANONICAL_LINE = re.compile(
 #: Records joined into one ``write`` call: bounds the text buffered
 #: between writes to a few hundred KB.
 _WRITE_CHUNK = 4096
-#: Records per ``read`` of the binary reader (80 KB blocks).
-_READ_BLOCK = 4096
 
 
 @contextmanager
@@ -187,21 +171,11 @@ def open_input(path: "str | Path", mode: str = "rt") -> Iterator[IO]:
         raise IngestError(f"{path}: unreadable input: {exc}") from exc
 
 
-def _looks_binary(path: "str | Path") -> bool:
-    with open_input(path, "rb") as handle:
-        return handle.read(4) == _BIN_MAGIC
-
-
-def write_portable(
-    path: "str | Path", records: Iterable[TraceRecord], binary: bool = False
-) -> int:
+def write_portable(path: "str | Path", records: Iterable[TraceRecord]) -> int:
     """Write a portable trace; returns the record count.
 
-    ``binary`` selects the packed ``RPTX`` form; the default is NDJSON.
-    A ``.gz`` suffix on ``path`` gzip-compresses either form.
+    A ``.gz`` suffix on ``path`` gzip-compresses it.
     """
-    if binary:
-        return _write_binary(path, records)
     count = 0
     lines: "list[str]" = []
     with open_maybe_gzip(path, "wt") as handle:
@@ -231,38 +205,8 @@ def write_portable(
     return count
 
 
-def _write_binary(path: "str | Path", records: Iterable[TraceRecord]) -> int:
-    # The header carries the record count, so a one-pass write packs the
-    # records into one buffer (20 bytes each) and stamps the header last.
-    packed = bytearray()
-    pack = _BIN_RECORD.pack
-    count = 0
-    for op, pc, ea, size in records:
-        problem = record_problem(op, pc, ea, size)
-        if problem is not None:
-            raise IngestError(problem)
-        try:
-            packed += pack(pc, 0 if ea is None else ea + 1, min(size, 0xFFFF), _OP_CODE[op])
-        except struct.error as exc:
-            raise IngestError(
-                f"record {count} does not fit the binary form: {exc}"
-            ) from exc
-        count += 1
-    with open_maybe_gzip(path, "wb") as handle:
-        handle.write(_BIN_HEADER.pack(_BIN_MAGIC, FORMAT_VERSION, count))
-        handle.write(packed)
-    return count
-
-
 def read_portable(path: "str | Path") -> Iterator[TraceRecord]:
-    """Stream the records of a portable trace (either serialization).
-
-    The form is sniffed from the first bytes, so converters and callers
-    never need to announce which one they wrote.
-    """
-    if _looks_binary(path):
-        yield from _read_binary(path)
-        return
+    """Stream the records of a portable trace."""
     with open_input(path, "rt") as handle:
         header_line = handle.readline()
         try:
@@ -290,7 +234,7 @@ def read_portable(path: "str | Path") -> Iterator[TraceRecord]:
                     ea = int(ea)
                 # The regex admits only non-negative integers, which
                 # leaves the class and a memory class's address to check.
-                if op in _OP_CODE and (ea is not None or op not in MEM_CLASSES):
+                if op in _KNOWN_OPS and (ea is not None or op not in MEM_CLASSES):
                     yield new_record((op, pc, ea, size))
                     continue
             else:
@@ -311,57 +255,9 @@ def read_portable(path: "str | Path") -> Iterator[TraceRecord]:
             yield TraceRecord(op, pc, ea, size)
 
 
-def _read_binary_header(handle: IO, path: "str | Path") -> int:
-    """Check the ``RPTX`` header at ``handle``; returns the record count."""
-    header = handle.read(_BIN_HEADER.size)
-    if len(header) < _BIN_HEADER.size:
-        raise IngestError(f"{path}: truncated binary-trace header")
-    magic, version, count = _BIN_HEADER.unpack(header)
-    if magic != _BIN_MAGIC:
-        raise IngestError(f"{path}: bad binary-trace magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise IngestError(f"{path}: unsupported binary-trace version {version}")
-    return count
-
-
-def _read_binary(path: "str | Path") -> Iterator[TraceRecord]:
-    record_size = _BIN_RECORD.size
-    with open_input(path, "rb") as handle:
-        count = _read_binary_header(handle, path)
-        index = 0
-        while index < count:
-            want = min(count - index, _READ_BLOCK)
-            block = handle.read(want * record_size)
-            whole = len(block) // record_size
-            for pc, ea1, size, code in _BIN_RECORD.iter_unpack(
-                memoryview(block)[: whole * record_size]
-            ):
-                if code >= len(OP_CLASSES):
-                    raise IngestError(
-                        f"{path}: record {index} has unknown op code {code}"
-                    )
-                op = OP_CLASSES[code]
-                ea = None if ea1 == 0 else ea1 - 1
-                problem = record_problem(op, pc, ea, size)
-                if problem is not None:
-                    raise IngestError(f"{path}: record {index}: {problem}")
-                yield new_record((op, pc, ea, size))
-                index += 1
-            if whole < want:
-                raise IngestError(f"{path}: truncated at record {index} of {count}")
-        if handle.read(1):
-            raise IngestError(f"{path}: trailing data after {count} records")
-
-
 def count_records(path: "str | Path") -> int:
-    """Number of records in a portable trace (one cheap streaming pass).
-
-    The binary form answers from its header; NDJSON is line-counted
-    without parsing record bodies.
-    """
-    if _looks_binary(path):
-        with open_input(path, "rb") as handle:
-            return _read_binary_header(handle, path)
+    """Number of records in a portable trace: one cheap streaming pass
+    that counts lines without parsing record bodies."""
     count = 0
     with open_input(path, "rt") as handle:
         handle.readline()  # header (validated by read_portable when replayed)

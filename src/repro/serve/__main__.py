@@ -8,13 +8,13 @@ Usage::
 ``ADDR`` is ``unix:<path>`` or ``[tcp:]host:port``; the default is
 ``$REPRO_SERVE_ADDR`` or a unix socket next to the default stores
 (``~/.cache/repro/serve.sock``).  The daemon owns the result store
-(default on — durability is store-native), an artifact store (default
-on: workers hydrate builds from disk) and a job journal under the store
-root (killed daemons recover: completed work re-serves as cache hits,
-only in-flight requests are recomputed).  One daemon serves a store at
-a time: a second one started on a store that is already served exits
-with status 1 and a ``store ... is already served by another daemon``
-error.
+(default on — durability is store-native), an artifact store (always
+on: workers hydrate builds from disk and write every build they make
+through to it) and a job journal under the store root (killed daemons
+recover: completed work re-serves as cache hits, only in-flight
+requests are recomputed).  One daemon serves a store at a time: a
+second one started on a store that is already served exits with status
+1 and a ``store ... is already served by another daemon`` error.
 
 Stop it with SIGINT/SIGTERM or a client ``shutdown`` op
 (:func:`repro.serve.client.shutdown_server`); both drain cleanly.
@@ -49,32 +49,11 @@ def build_server(address: str, opts: EvalOptions) -> EvalServer:
 
 async def amain(args: argparse.Namespace) -> int:
     opts = EvalOptions.from_args(args)
-    if opts.artifacts is None and not args.no_artifacts:
+    if opts.artifacts is None:
         # Long-running daemons always want the build cache warm.
         from repro.eval.artifacts import ArtifactStore
 
         opts = dataclasses.replace(opts, artifacts=ArtifactStore(None))
-    if args.trace is not None:
-        # Pre-warm an ingested workload: mint its token (validating the
-        # file and hashing its content), compile the default-budget
-        # build into the artifact store so the first client requests
-        # hydrate instead of compiling, and print the token clients
-        # should put in their requests' workload field.
-        from repro.eval.runner import RunRequest, _CACHE, configure_artifacts
-        from repro.ingest.build import trace_workload_from_args
-
-        token = trace_workload_from_args(args)
-        previous = configure_artifacts(opts.artifacts)
-        try:
-            trace = _CACHE.get_trace(*RunRequest(token, "T4").build_axes)
-        finally:
-            configure_artifacts(previous)
-        print(
-            f"repro.serve: ingested {args.trace} ({len(trace)} records at the "
-            f"default budget); request it as workload:\n  {token}",
-            file=sys.stderr,
-            flush=True,
-        )
     address = args.listen or default_server_address()
     server = build_server(address, opts)
     try:
@@ -116,14 +95,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "or ~/.cache/repro/serve.sock)",
     )
     add_eval_args(parser, jobs=True, cache=True, artifacts=True)
-    from repro.ingest.build import add_trace_args
-
-    add_trace_args(parser)
-    parser.add_argument(
-        "--no-artifacts",
-        action="store_true",
-        help="disable the artifact store the daemon otherwise enables by default",
-    )
     args = parser.parse_args(argv)
     try:
         return asyncio.run(amain(args))

@@ -238,6 +238,25 @@ def test_bad_arguments_rejected_at_parse_time(cli, argv, capsys, monkeypatch):
     assert exc.value.code == 2 and err.startswith("usage:") and "error: argument " in err
 
 
+@pytest.mark.parametrize(
+    "cli,argv,flag",
+    [
+        ("ingest", "convert cap.log out.ndjson --binary", "--binary"),
+        ("ingest", "compile lk.ndjson --artifacts art", "--artifacts"),
+        ("serve", "--trace lk.ndjson", "--trace"),
+        ("serve", "--no-artifacts", "--no-artifacts"),
+    ],
+)
+def test_removed_ingestion_flags_are_unrecognized(cli, argv, flag, capsys):
+    """NDJSON is the only portable form and the build cache the only
+    writer of ingested builds: these flags no longer exist."""
+    with pytest.raises(SystemExit) as exc:
+        CLIS[cli](argv.split())
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.startswith("usage:")
+    assert f"unrecognized arguments: {flag}" in err
+
+
 #: Every command-line entry point, by the module ``python -m`` runs.
 CLIS = {
     "repro": repro_main,

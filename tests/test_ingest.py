@@ -72,13 +72,10 @@ class TestPortableFormat:
         TraceRecord("modify", 0x1018, 0x3000, 1),
     ]
 
-    @pytest.mark.parametrize(
-        "name,binary",
-        [("t.ndjson", False), ("t.rptx", True), ("t.ndjson.gz", False), ("t.rptx.gz", True)],
-    )
-    def test_round_trip(self, tmp_path, name, binary):
+    @pytest.mark.parametrize("name", ["t.ndjson", "t.ndjson.gz"])
+    def test_round_trip(self, tmp_path, name):
         path = tmp_path / name
-        assert write_portable(path, self.RECORDS, binary=binary) == len(self.RECORDS)
+        assert write_portable(path, self.RECORDS) == len(self.RECORDS)
         assert list(read_portable(path)) == self.RECORDS
         assert count_records(path) == len(self.RECORDS)
 
@@ -109,19 +106,10 @@ class TestPortableFormat:
         with pytest.raises(IngestError, match="unknown op class"):
             write_portable(path, [TraceRecord("warp", 0x1000)])
 
-    def test_binary_truncation_rejected(self, tmp_path):
+    def test_rptx_file_is_not_a_portable_trace(self, tmp_path):
         path = tmp_path / "t.rptx"
-        write_portable(path, self.RECORDS, binary=True)
-        data = path.read_bytes()
-        path.write_bytes(data[:-7])
-        with pytest.raises(IngestError, match="truncated"):
-            list(read_portable(path))
-
-    def test_binary_trailing_data_rejected(self, tmp_path):
-        path = tmp_path / "t.rptx"
-        write_portable(path, self.RECORDS, binary=True)
-        path.write_bytes(path.read_bytes() + b"XX")
-        with pytest.raises(IngestError, match="trailing"):
+        path.write_bytes(b"RPTX\x01\x00\x00\x00\x07" + bytes(7))
+        with pytest.raises(IngestError, match="not a portable trace"):
             list(read_portable(path))
 
 
@@ -505,13 +493,6 @@ class TestIngestCli:
         info = json.loads(capsys.readouterr().out)
         assert info["records"] == 5 and info["static_slots"] >= 4
 
-    def test_convert_binary(self, tmp_path, capsys):
-        cap = tmp_path / "cap.log"
-        cap.write_text(TestConverters.LACKEY)
-        out = tmp_path / "t.rptx"
-        assert ingest_main(["convert", str(cap), str(out), "--binary"]) == 0
-        assert count_records(out) == 5
-
     def test_convert_error_exit_code(self, tmp_path, capsys):
         cap = tmp_path / "cap.log"
         cap.write_text(" L 04EFF8A8,8\n")
@@ -519,41 +500,33 @@ class TestIngestCli:
         assert ingest_main(["convert", str(cap), str(out)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_compile_into_artifacts(self, tmp_path, capsys):
-        cap = tmp_path / "cap.log"
-        cap.write_text(TestConverters.LACKEY)
-        out = tmp_path / "t.ndjson"
-        ingest_main(["convert", str(cap), str(out)])
-        capsys.readouterr()
-        store_dir = tmp_path / "art"
-        assert ingest_main(["compile", str(out), "--artifacts", str(store_dir)]) == 0
-        assert "stored ingested build" in capsys.readouterr().out
-        assert len(ArtifactStore(store_dir)) == 1
-
+    # ``compile`` stores nothing: the build cache compiles a token's
+    # build the first time a run needs it and writes it through.
     @pytest.mark.parametrize("budget", [None, 700])
     def test_compiled_build_hydrates_in_the_runner(self, trace_file, tmp_path, budget):
-        """The build is stored where the runner looks for it."""
+        """A build the cache wrote through hydrates in a fresh cache."""
         from repro.eval.runner import _BuildCache
 
-        store_dir = tmp_path / "art"
-        argv = ["compile", str(trace_file), "--artifacts", str(store_dir)]
-        if budget is not None:
-            argv += ["--max-instructions", str(budget)]
-        assert ingest_main(argv) == 0
         given = {} if budget is None else {"max_instructions": budget}
         req = RunRequest(trace_workload(trace_file), "T4", **given)
-        store = ArtifactStore(store_dir)
+        writer = ArtifactStore(tmp_path / "art")
+        built = _BuildCache(artifacts=writer).get_trace(*req.build_axes)
+        assert (writer.stats.hits, writer.stats.misses, writer.stats.puts) == (0, 1, 1)
+        store = ArtifactStore(tmp_path / "art")
         trace = _BuildCache(artifacts=store).get_trace(*req.build_axes)
         assert (store.stats.hits, store.stats.misses, store.stats.puts) == (1, 0, 0)
-        assert len(trace) == min(req.max_instructions, 3000)
+        assert len(trace) == len(built) == min(req.max_instructions, 3000)
 
     def test_two_traces_give_two_entries(self, trace_file, tmp_path):
+        from repro.eval.runner import _BuildCache
+
         other = tmp_path / "other.ndjson"
         write_portable(other, synthetic_records(seed=7))
-        store_dir = tmp_path / "art"
+        store = ArtifactStore(tmp_path / "art")
         for path in (trace_file, other):
-            assert ingest_main(["compile", str(path), "--artifacts", str(store_dir)]) == 0
-        assert len(ArtifactStore(store_dir)) == 2
+            req = RunRequest(trace_workload(path), "T4", max_instructions=500)
+            _BuildCache(artifacts=store).get_trace(*req.build_axes)
+        assert len(ArtifactStore(tmp_path / "art")) == 2
 
 
 class TestTopLevelCli:
