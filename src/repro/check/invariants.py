@@ -17,7 +17,8 @@ cycle, the structural invariants the engine's fast paths rely on:
   ``units`` lease slots at all times;
 * per-tick mechanism discipline: port-granted results per cycle never
   exceed the mechanism's total :class:`~repro.tlb.base.PortArbiter`
-  ports, piggybacked riders never exceed the rider capacity, and no
+  ports, piggybacked riders never exceed the mechanism's
+  ``rider_capacity`` (0 for a design that does not piggyback), and no
   result is ready in the past;
 * ``pending()`` consistent with the arbiters' queued population;
 * monotonically non-decreasing stats counters, with
@@ -129,17 +130,6 @@ def _discover_arbiters(mech) -> tuple[PortArbiter, ...]:
     return tuple(found)
 
 
-def _rider_capacity(mech, arbiter_count: int) -> int | None:
-    """Max piggybacked riders per cycle, or None when unknowable."""
-    ports = getattr(mech, "piggyback_ports", None)
-    if ports is not None:
-        return ports
-    per_bank = getattr(mech, "piggyback_per_bank", None)
-    if per_bank is not None:
-        return per_bank * arbiter_count
-    return None
-
-
 class SanityChecker:
     """Per-cycle invariant checks plus quiescent-contract replay.
 
@@ -158,7 +148,7 @@ class SanityChecker:
         mech = machine.mech
         self._arbiters = _discover_arbiters(mech)
         self._total_ports = sum(arbiter.ports for arbiter in self._arbiters)
-        self._rider_cap = _rider_capacity(mech, len(self._arbiters))
+        self._rider_cap = mech.rider_capacity
         self._counters = self._counter_values()
         self._wrap_tick(mech)
 
@@ -183,7 +173,7 @@ class SanityChecker:
                         "arbiter port(s)",
                     )
             cap = checker._rider_cap
-            if cap is not None and riders > cap:
+            if riders > cap:
                 raise SanityError(
                     now,
                     f"tick piggybacked {riders} riders; capacity is {cap}",

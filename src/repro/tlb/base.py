@@ -37,6 +37,11 @@ class TranslationMechanism:
     #: avoid per-instruction overhead for everyone else.
     needs_register_events = False
 
+    #: Most requests one tick may piggyback on other requests' port
+    #: grants (``stats.piggybacked`` grows by at most this much per
+    #: tick).  The sanitizer fails a tick that rides more.
+    rider_capacity = 0
+
     def __init__(self, page_shift: int = 12):
         self.page_shift = page_shift
         self.stats = TranslationStats()

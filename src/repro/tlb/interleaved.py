@@ -66,6 +66,10 @@ class InterleavedTLB(TranslationMechanism):
         ]
         self._arbiters = [PortArbiter(1) for _ in range(banks)]
 
+    @property
+    def rider_capacity(self) -> int:
+        return self.piggyback_per_bank * self.banks
+
     def request(self, req: TranslationRequest) -> TranslationResult | None:
         self.stats.requests += 1
         self._arbiters[self.select(req.vpn)].submit(req.cycle, req.seq, req)

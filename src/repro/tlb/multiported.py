@@ -45,6 +45,10 @@ class MultiPortedTLB(TranslationMechanism):
         self.arbiter = PortArbiter(ports)
         self.ports = ports
 
+    @property
+    def rider_capacity(self) -> int:
+        return self.piggyback_ports
+
     def request(self, req: TranslationRequest) -> TranslationResult | None:
         self.stats.requests += 1
         self.arbiter.submit(req.cycle, req.seq, req)

@@ -121,6 +121,23 @@ class TestTickAudit:
         with pytest.raises(SanityError, match="port-granted"):
             Machine(config, mech, trace).run()
 
+    def test_rider_on_a_design_without_riders_is_caught(self):
+        config = MachineConfig(sanity=True)
+        mech = make_mechanism("M8", config.page_shift)
+        assert mech.rider_capacity == 0
+        base_tick = mech.tick
+
+        def tick_reporting_a_rider(now):
+            results = base_tick(now)
+            if results:
+                mech.stats.piggybacked += 1
+            return results
+
+        mech.tick = tick_reporting_a_rider
+        trace = _CACHE.get_trace("compress", 32, 32, 1.0, INSTS)
+        with pytest.raises(SanityError, match="piggybacked 1 riders; capacity is 0"):
+            Machine(config, mech, trace).run()
+
 
 class TestEngineInvariants:
     def test_monotonic_counter_regression_detected(self):

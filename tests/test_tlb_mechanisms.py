@@ -5,10 +5,9 @@ matching paper §4.1.
 
 import pytest
 
-from repro.check.invariants import _rider_capacity
 from repro.tlb.bankselect import bit_select, xor_fold
 from repro.tlb.base import PortArbiter, ShieldedTLB
-from repro.tlb.factory import DESIGN_MNEMONICS, make_mechanism
+from repro.tlb.factory import DESIGN_MNEMONICS, DESIGNS, make_mechanism
 from repro.tlb.interleaved import InterleavedTLB
 from repro.tlb.multiported import MultiPortedTLB, PerfectTLB, PiggybackTLB
 from repro.tlb.request import TranslationRequest
@@ -152,9 +151,10 @@ class TestPiggyback:
         assert mech.stats.piggybacked == 2
 
     def test_plain_ports_have_zero_rider_capacity(self):
-        # The sanitizer therefore fails any T-design tick that piggybacks.
-        assert _rider_capacity(make_mechanism("T4"), 1) == 0
-        assert _rider_capacity(make_mechanism("PB1"), 1) == 3
+        # The sanitizer fails any tick that rides more than this.
+        riders = {"PB2": 2, "PB1": 3, "I4/PB": 12}
+        for design in DESIGNS:
+            assert make_mechanism(design).rider_capacity == riders.get(design, 0), design
 
 
 class _OneEntryShield(ShieldedTLB):
