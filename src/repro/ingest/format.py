@@ -205,25 +205,30 @@ def write_portable(path: "str | Path", records: Iterable[TraceRecord]) -> int:
     return count
 
 
+def _read_header(handle: IO, path: "str | Path") -> None:
+    """Consume and check the header line at ``handle``."""
+    header_line = handle.readline()
+    try:
+        header = json.loads(header_line)
+    except (ValueError, RecursionError) as exc:
+        raise IngestError(
+            f"{path}: not a portable trace (bad header line: {exc})"
+        ) from exc
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
+        raise IngestError(
+            f"{path}: not a portable trace (header {header_line.strip()!r})"
+        )
+    if header.get("version") != FORMAT_VERSION:
+        raise IngestError(
+            f"{path}: unsupported portable-trace version "
+            f"{header.get('version')!r}"
+        )
+
+
 def read_portable(path: "str | Path") -> Iterator[TraceRecord]:
     """Stream the records of a portable trace."""
     with open_input(path, "rt") as handle:
-        header_line = handle.readline()
-        try:
-            header = json.loads(header_line)
-        except (ValueError, RecursionError) as exc:
-            raise IngestError(
-                f"{path}: not a portable trace (bad header line: {exc})"
-            ) from exc
-        if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-            raise IngestError(
-                f"{path}: not a portable trace (header {header_line.strip()!r})"
-            )
-        if header.get("version") != FORMAT_VERSION:
-            raise IngestError(
-                f"{path}: unsupported portable-trace version "
-                f"{header.get('version')!r}"
-            )
+        _read_header(handle, path)
         canonical = _CANONICAL_LINE.match
         for lineno, line in enumerate(handle, start=2):
             fields = canonical(line)
@@ -257,10 +262,11 @@ def read_portable(path: "str | Path") -> Iterator[TraceRecord]:
 
 def count_records(path: "str | Path") -> int:
     """Number of records in a portable trace: one cheap streaming pass
-    that counts lines without parsing record bodies."""
+    that checks the header and counts lines without parsing record
+    bodies (:func:`read_portable` checks them when replayed)."""
     count = 0
     with open_input(path, "rt") as handle:
-        handle.readline()  # header (validated by read_portable when replayed)
+        _read_header(handle, path)
         for line in handle:
             if line.strip():
                 count += 1

@@ -249,7 +249,7 @@ def test_bad_arguments_rejected_at_parse_time(cli, argv, capsys, monkeypatch):
 )
 def test_removed_ingestion_flags_are_unrecognized(cli, argv, flag, capsys):
     """NDJSON is the only portable form and the build cache the only
-    writer of ingested builds: these flags no longer exist."""
+    writer of ingested builds, so no CLI takes these flags."""
     with pytest.raises(SystemExit) as exc:
         CLIS[cli](argv.split())
     err = capsys.readouterr().err

@@ -111,6 +111,8 @@ class TestPortableFormat:
         path.write_bytes(b"RPTX\x01\x00\x00\x00\x07" + bytes(7))
         with pytest.raises(IngestError, match="not a portable trace"):
             list(read_portable(path))
+        with pytest.raises(IngestError, match="not a portable trace"):
+            count_records(path)
 
 
 class TestConverters:

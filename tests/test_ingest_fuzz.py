@@ -163,10 +163,12 @@ def test_ndjson_bytes(workdir, data, header):
 @given(data=st.binary(max_size=64))
 def test_rptx_raw_bytes(workdir, data):
     """NDJSON is the only portable form: a file that opens with the
-    ``RPTX`` magic of the retired packed form is always refused."""
+    ``RPTX`` magic of a packed trace is always refused."""
     path = workdir / "t.rptx"
     path.write_bytes(b"RPTX" + data)
     assert parse_all(read_portable, path) is None
+    with pytest.raises(IngestError):
+        count_records(path)
 
 
 @st.composite
