@@ -313,7 +313,7 @@ def compile_workload(
 
 
 # ---------------------------------------------------------------------------
-# Shared CLI plumbing (--trace on repro, repro.eval, repro.serve).
+# Shared CLI plumbing (--trace on repro, repro.eval, repro.check).
 # ---------------------------------------------------------------------------
 
 
