@@ -5,7 +5,9 @@ Figure-5 slice (all 13 Table 2 designs, a subset of workloads) and
 asserts the committed accuracy bound — mean absolute relative CPI
 error <= 10% per workload, true best design inside the predicted
 top-3.  Then runs a small end-to-end screen and asserts the selected
-frontier re-simulates without error.
+frontier re-simulates without error, and that a rerun on the same store
+prints the same frontier without a single store write (every run and
+profile is a hit; the summary is recomputed).
 
 Run directly (the CI ``screen-smoke`` job)::
 
@@ -113,6 +115,15 @@ def main() -> int:
                 f"frontier re-simulation incomplete:"
                 f" {len(simulated)}/{min(spec.simulate, len(result.frontier))}"
             )
+
+        # Warm rerun: the same frontier from store hits, nothing written.
+        puts = store.stats.puts
+        rerun = screen(spec, EvalOptions(jobs=2, store=store))
+        print(f"screen rerun: {store.stats.puts - puts} store writes", flush=True)
+        if rerun.frontier != result.frontier:
+            failures.append("warm screen rerun changed the frontier")
+        if store.stats.puts != puts:
+            failures.append(f"warm screen rerun wrote {store.stats.puts - puts} store entries")
 
     if failures:
         print("FAIL:\n  " + "\n  ".join(failures))

@@ -16,7 +16,7 @@ These support (and extend) the paper's evaluation:
     and a pretranslation-cache proxy — what pretranslation attaches —
     and bank-collision rates) plus the demand histogram.  Read by the
     analytical model, printed by ``python -m repro profile``, and
-    cached as a build artifact.
+    memoized in the result store.
 ``atmodel``
     The analytical translation-cost model itself: a vectorized
     predictor of per-design translation stalls and CPI, calibrated per

@@ -668,45 +668,6 @@ class Calibration:
     #: Anchor diagnostics: mnemonic -> (measured CPI, fitted CPI).
     anchor_fit: dict = field(default_factory=dict)
 
-    def to_payload(self) -> dict:
-        return {
-            "workload": self.workload,
-            "groups_per_inst": {str(k): v for k, v in self.groups_per_inst.items()},
-            "eta_ml": self.eta_ml,
-            "eta_pret": self.eta_pret,
-            "cpi_base": self.cpi_base,
-            "coef_port": self.coef_port,
-            "coef_over": self.coef_over,
-            "coef_miss": self.coef_miss,
-            "coef_ride": self.coef_ride,
-            "delta_ml": self.delta_ml,
-            "delta_pret": self.delta_pret,
-            "q_ml": self.q_ml,
-            "q_pret": self.q_pret,
-            "anchor_fit": {k: list(v) for k, v in self.anchor_fit.items()},
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Calibration":
-        return cls(
-            workload=payload["workload"],
-            groups_per_inst={
-                int(k): float(v) for k, v in payload["groups_per_inst"].items()
-            },
-            eta_ml=float(payload["eta_ml"]),
-            eta_pret=float(payload["eta_pret"]),
-            cpi_base=float(payload["cpi_base"]),
-            coef_port=float(payload["coef_port"]),
-            coef_over=float(payload.get("coef_over", 0.0)),
-            coef_miss=float(payload["coef_miss"]),
-            coef_ride=float(payload.get("coef_ride", 0.0)),
-            delta_ml=float(payload.get("delta_ml", 0.0)),
-            delta_pret=float(payload.get("delta_pret", 0.0)),
-            q_ml=float(payload.get("q_ml", 0.0)),
-            q_pret=float(payload.get("q_pret", 0.0)),
-            anchor_fit={k: tuple(v) for k, v in payload["anchor_fit"].items()},
-        )
-
 
 def _measured_cpi(result) -> float:
     stats = result.stats

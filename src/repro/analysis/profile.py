@@ -25,11 +25,11 @@ the design-independent statistics the analytical translation-cost model
 
 Profiles are a pure function of the trace (the profiling parameters
 are this module's constants, covered by the code fingerprint in every
-artifact key), so they serialize into the build container's ``PROF``
-section (:mod:`repro.func.tracefile`) and hydrate through
-``ArtifactStore``: a wrong version reads as a clean miss and the profile
-is rebuilt.  :func:`workload_profile` is the one way to get a build's
-profile; ``python -m repro profile`` prints its 4 KB statistics with
+store key), so they memoize as result-store aux entries of kind
+``"profile"`` keyed by the build axes: a malformed entry or a wrong
+version reads as a clean miss and the profile is rebuilt.
+:func:`workload_profile` is the one way to get a build's profile;
+``python -m repro profile`` prints its 4 KB statistics with
 :meth:`AnalysisProfile.render`.
 
 Every statistic is defined for degenerate streams — empty traces,
@@ -39,13 +39,12 @@ errors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.analysis import reusedist
 
-#: Bump when the payload layout changes; old sections read as misses.
+#: Bump when the payload layout changes; old entries read as misses.
 PROFILE_VERSION = 3
 
 #: Page sizes the profile covers (4 KB, 8 KB, 16 KB).
@@ -136,8 +135,8 @@ class PageStreamStats:
             references=int(payload["references"]),
             distinct_pages=int(payload["distinct_pages"]),
             cold=int(payload["cold"]),
-            distance_values=tuple(payload["distance_values"]),
-            distance_counts=tuple(payload["distance_counts"]),
+            distance_values=tuple(int(v) for v in payload["distance_values"]),
+            distance_counts=tuple(int(c) for c in payload["distance_counts"]),
             dup_within={int(k): float(v) for k, v in payload["dup_within"].items()},
             pretranslation_hit={
                 int(k): float(v) for k, v in payload["pretranslation_hit"].items()
@@ -221,20 +220,25 @@ class AnalysisProfile:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "AnalysisProfile":
-        if payload.get("version") != PROFILE_VERSION:
-            raise ValueError(f"unsupported profile version: {payload.get('version')}")
-        return cls(
-            workload=payload["workload"],
-            instructions=int(payload["instructions"]),
-            references=int(payload["references"]),
-            group_histogram={
-                int(k): int(v) for k, v in payload["group_histogram"].items()
-            },
-            streams={
-                int(shift): PageStreamStats.from_payload(stats)
-                for shift, stats in payload["streams"].items()
-            },
-        )
+        """Inverse of :meth:`to_payload`; ValueError on a wrong version
+        and on any malformed payload."""
+        try:
+            if payload.get("version") != PROFILE_VERSION:
+                raise ValueError(f"unsupported profile version: {payload.get('version')}")
+            return cls(
+                workload=payload["workload"],
+                instructions=int(payload["instructions"]),
+                references=int(payload["references"]),
+                group_histogram={
+                    int(k): int(v) for k, v in payload["group_histogram"].items()
+                },
+                streams={
+                    int(shift): PageStreamStats.from_payload(stats)
+                    for shift, stats in payload["streams"].items()
+                },
+            )
+        except (AttributeError, KeyError, OverflowError, TypeError) as exc:
+            raise ValueError(f"malformed profile payload: {exc!r}") from None
 
 
 # -- construction -------------------------------------------------------------
@@ -333,22 +337,23 @@ def build_profile(trace: Sequence, workload: str) -> AnalysisProfile:
     return profile
 
 
-def workload_profile(axes: tuple, artifacts=None) -> AnalysisProfile:
+def workload_profile(axes: tuple, store=None) -> AnalysisProfile:
     """The profile of the build ``axes`` names (see ``RunRequest.build_axes``).
 
-    Hydrated from ``artifacts`` (an ``ArtifactStore``) when it holds
-    one; otherwise built from the build cache's trace and, with a store
-    attached, written through into the build's container.
+    Read from ``store`` (a ``ResultStore``) when it holds the ``"profile"``
+    aux entry for ``axes``; otherwise built from the build cache's trace
+    and, with a store attached, written there.
     """
-    if artifacts is not None:
-        cached = artifacts.load_profile(axes)
+    spec = {"axes": list(axes)}
+    if store is not None:
+        cached = store.get_aux("profile", spec, AnalysisProfile.from_payload)
         if cached is not None:
             return cached
     from repro.eval.runner import _CACHE
 
     profile = build_profile(_CACHE.get_trace(*axes), axes[0])
-    if artifacts is not None:
-        artifacts.save_profile(axes, profile)
+    if store is not None:
+        store.put_aux("profile", spec, profile.to_payload())
     return profile
 
 
@@ -438,22 +443,3 @@ def _pretranslation_proxy(
             del cache[next(iter(cache))]
         cache[tag] = page
     return hits / len(pages)
-
-
-# -- codec --------------------------------------------------------------------
-
-
-def encode_profile_section(profile: AnalysisProfile) -> bytes:
-    """Serialize a profile for the tracefile ``PROF`` section."""
-    return json.dumps(
-        profile.to_payload(), sort_keys=True, separators=(",", ":")
-    ).encode()
-
-
-def decode_profile_section(payload: bytes) -> AnalysisProfile:
-    """Inverse of :func:`encode_profile_section` (ValueError on mismatch
-    and on any malformed payload)."""
-    try:
-        return AnalysisProfile.from_payload(json.loads(payload.decode()))
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise ValueError(f"malformed profile section: {exc!r}") from None

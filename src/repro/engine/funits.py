@@ -9,7 +9,7 @@ interval 1; the divide units occupy their unit for the full operation
 from __future__ import annotations
 
 from repro.engine.config import MachineConfig
-from repro.isa.opcodes import Op, OpClass
+from repro.isa.opcodes import OpClass
 
 #: OpClass -> functional-unit class name.
 _UNIT_OF_CLASS = {
@@ -32,7 +32,7 @@ _NEVER = 1 << 62
 
 
 class FunctionalUnitPool:
-    """Tracks per-unit busy times and answers issue queries."""
+    """Tracks per-unit busy times for the machine's issue loop."""
 
     __slots__ = ("_free_at", "_latency", "_interval", "_div_latency")
 
@@ -50,19 +50,6 @@ class FunctionalUnitPool:
             "idiv": config.int_div_latency,
             "fpdiv": config.fp_div_latency,
         }
-
-    @staticmethod
-    def unit_class(op_class: OpClass) -> str:
-        """Functional-unit class name for an opcode class."""
-        return _UNIT_OF_CLASS[op_class]
-
-    def latency_of(self, op_class: OpClass) -> int:
-        """Result latency of an operation."""
-        if op_class is OpClass.IDIV:
-            return self._div_latency["idiv"]
-        if op_class is OpClass.FPDIV:
-            return self._div_latency["fpdiv"]
-        return self._latency[_UNIT_OF_CLASS[op_class]]
 
     def next_busy_release(self, now: int) -> int:
         """Earliest cycle after ``now`` at which any busy unit frees up.
@@ -82,11 +69,12 @@ class FunctionalUnitPool:
         """Per-opclass ``(free_at, busy, latency)`` scheduling triples.
 
         The ``free_at`` lists are the pool's *live* internal state (not
-        copies): a caller that finds ``free_at[i] <= now`` may occupy
-        the unit by writing ``free_at[i] = now + busy`` — exactly what
-        :meth:`issue` does, minus the per-call dict/enum lookups.  The
-        machine caches one triple per window entry at dispatch so the
-        issue loop's structural-hazard check is pure list traversal.
+        copies): a caller that finds ``free_at[i] <= now`` issues by
+        writing ``free_at[i] = now + busy``; the result is ready at
+        ``now + latency``.  Op classes that share a unit class share one
+        list.  The machine caches one triple per window entry at
+        dispatch so the issue loop's structural-hazard check is pure
+        list traversal.
         """
         out: dict[OpClass, tuple[list[int], int, int]] = {}
         for op_class, name in _UNIT_OF_CLASS.items():
@@ -98,28 +86,3 @@ class FunctionalUnitPool:
                 busy, latency = self._interval[name], self._latency[name]
             out[op_class] = (self._free_at[name], busy, latency)
         return out
-
-    def can_issue(self, op_class: OpClass, now: int) -> bool:
-        """True if a unit of the required class is free this cycle."""
-        free_at = self._free_at[_UNIT_OF_CLASS[op_class]]
-        return any(cycle <= now for cycle in free_at)
-
-    def issue(self, op_class: OpClass, now: int) -> int:
-        """Occupy a unit; returns the result-ready cycle.
-
-        Raises :class:`RuntimeError` if no unit is free (callers must
-        check :meth:`can_issue` first).
-        """
-        name = _UNIT_OF_CLASS[op_class]
-        free_at = self._free_at[name]
-        for i, cycle in enumerate(free_at):
-            if cycle <= now:
-                if op_class is OpClass.IDIV:
-                    busy, latency = self._div_latency["idiv"], self._div_latency["idiv"]
-                elif op_class is OpClass.FPDIV:
-                    busy, latency = self._div_latency["fpdiv"], self._div_latency["fpdiv"]
-                else:
-                    busy, latency = self._interval[name], self._latency[name]
-                free_at[i] = now + busy
-                return now + latency
-        raise RuntimeError(f"no free {name} unit at cycle {now}")

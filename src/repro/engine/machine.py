@@ -902,9 +902,8 @@ class Machine:
         return issued
 
     def _do_issue(self, infl: _InFlight, now: int) -> None:
-        # Inline FunctionalUnitPool.issue via the cached (free_at,
-        # busy, latency) triple: same first-free-slot policy, none of
-        # the per-call enum-keyed dict lookups.
+        # Occupy the first free slot of the cached (free_at, busy,
+        # latency) triple from FunctionalUnitPool.class_map.
         free_at, busy, latency = infl.fu
         for i, cycle in enumerate(free_at):
             if cycle <= now:

@@ -15,6 +15,11 @@ work.  Two artifact kinds are stored, as version-2
   :class:`~repro.engine.frontend.FetchPlan`, keyed on the build axes
   plus :func:`~repro.engine.frontend.fetch_config_key`.
 
+Each container is written whole, once, by the build cache's
+write-through (:class:`~repro.eval.runner._BuildCache`); nothing
+rewrites one.  Derived summaries of a build, such as the analysis
+profile, memoize in the result store instead.
+
 Keys follow the result store's invalidation rule: the content hash
 mixes in the :func:`~repro.eval.resultstore.code_fingerprint`, so *any*
 source change invalidates every artifact (stale entries are simply
@@ -36,18 +41,12 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis.profile import (
-    AnalysisProfile,
-    decode_profile_section,
-    encode_profile_section,
-)
 from repro.engine.frontend import FetchPlan, decode_fetch_plan, encode_fetch_plan
 from repro.eval.resultstore import Store
 from repro.func.dyninst import DynInst
 from repro.func.tracefile import (
     SECTION_EXTERN,
     SECTION_PLAN,
-    SECTION_PROFILE,
     SECTION_PROGRAM,
     SECTION_TRACE,
     TraceFileError,
@@ -147,40 +146,6 @@ class ArtifactStore(Store):
         sections = _build_sections(program, trace)
         sections[SECTION_EXTERN] = encode_extern_meta(meta)
         return self._write(self.build_path(axes), write_container, sections)
-
-    # -- analysis-profile artifacts -------------------------------------------
-
-    def load_profile(self, axes: BuildAxes) -> "AnalysisProfile | None":
-        """Hydrate the analysis profile for ``axes``, or None on a miss.
-
-        The ``PROF`` section rides in the build container (a profile is
-        a pure function of the trace, and the key's code fingerprint
-        covers the profiling constants).  A missing or corrupt section
-        or a wrong payload version reads as a clean miss — the caller
-        re-profiles and :meth:`save_profile` overwrites the section.
-        """
-        return self._read(
-            self.build_path(axes),
-            lambda path: decode_profile_section(
-                _section(read_container(path), SECTION_PROFILE)
-            ),
-        )
-
-    def save_profile(self, axes: BuildAxes, profile: AnalysisProfile) -> "Path | None":
-        """Merge the analysis profile into the build container.
-
-        Reads the existing container, sets ``PROF`` while carrying every
-        other section forward (including tags this build does not know),
-        and rewrites atomically; returns None when no build container
-        exists yet (nothing to attach to).
-        """
-        path = self.build_path(axes)
-        try:
-            sections = read_container(path)
-        except (OSError, TraceFileError):
-            return None
-        sections[SECTION_PROFILE] = encode_profile_section(profile)
-        return self._write(path, write_container, sections)
 
     # -- fetch-plan artifacts -------------------------------------------------
 

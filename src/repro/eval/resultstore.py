@@ -200,7 +200,10 @@ class Store:
 
 
 def _read_json(path: Path):
-    return json.loads(path.read_text())
+    try:
+        return json.loads(path.read_text())
+    except RecursionError:  # nested past the decoder's limit: malformed
+        raise ValueError(f"{path.name}: JSON nested too deeply") from None
 
 
 def _write_json(path: Path, value) -> None:
@@ -246,8 +249,9 @@ class ResultStore(Store):
 
     def get_aux(self, kind: str, spec: dict, decode):
         """``decode(payload)`` of a derived (non-RunResult) entry, e.g. a
-        screen summary, keyed like a run on ``kind``, ``spec`` and the
-        code fingerprint; None on a miss."""
+        workload profile, keyed like a run on ``kind``, ``spec`` and the
+        code fingerprint; None on a miss.  ``decode`` raises ValueError
+        on any malformed payload."""
         path = self._path({"kind": kind, "spec": spec})
         return self._read(path, lambda path: decode(_read_json(path)))
 

@@ -11,9 +11,8 @@ microseconds.  This module turns that gap into a search procedure:
    cycle-simulated anchor runs (scheduled through the normal
    :func:`~repro.eval.parallel.run_many` machinery, so anchor results
    land in — and return from — the :class:`~repro.eval.resultstore
-   .ResultStore` like any other run).  Workload profiles hydrate from
-   the :class:`~repro.eval.artifacts.ArtifactStore`'s ``PROF`` section
-   when one is attached.
+   .ResultStore` like any other run).  Workload profiles memoize in the
+   same store, as aux entries of kind ``"profile"``.
 3. **Score** every candidate with the vectorized model and **price** it
    with the first-order area model (:mod:`repro.tlb.costmodel`).
 4. **Select** the Pareto frontier of (area, predicted CPI) and hand a
@@ -22,9 +21,9 @@ microseconds.  This module turns that gap into a search procedure:
 
 The result records predicted and simulated CPI side by side, so the
 screen is self-auditing: a frontier design whose simulation disagrees
-with its prediction is visible right in the output.  Screen summaries
-persist in the result store's auxiliary section under kind
-``"screen"``, keyed by the spec and the code fingerprint.
+with its prediction is visible right in the output.  A screen memoizes
+its inputs, not its output, as a figure does: on a warm store every
+run and profile is a hit, and the summary is recomputed from them.
 """
 
 from __future__ import annotations
@@ -74,42 +73,6 @@ class ScreenSpec:
     anchors: tuple = atmodel.DEFAULT_ANCHORS
     #: How many frontier designs to confirm with the cycle simulator.
     simulate: int = 8
-
-    def to_dict(self) -> dict:
-        return {
-            "workloads": list(self.workloads),
-            "max_instructions": self.max_instructions,
-            "page_shifts": list(self.page_shifts),
-            "entries": list(self.entries),
-            "multi_ports": list(self.multi_ports),
-            "piggy_ports": list(self.piggy_ports),
-            "piggy_riders": list(self.piggy_riders),
-            "banks": list(self.banks),
-            "bank_selects": list(self.bank_selects),
-            "bank_riders": list(self.bank_riders),
-            "ml_l1": list(self.ml_l1),
-            "ml_ports": list(self.ml_ports),
-            "pret_sizes": list(self.pret_sizes),
-            "pret_ports": list(self.pret_ports),
-            "anchors": list(self.anchors),
-            "simulate": self.simulate,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ScreenSpec":
-        kwargs = {}
-        for f in (
-            "workloads", "page_shifts", "entries", "multi_ports",
-            "piggy_ports", "piggy_riders", "banks", "bank_selects",
-            "bank_riders", "ml_l1", "ml_ports", "pret_sizes",
-            "pret_ports", "anchors",
-        ):
-            if f in payload:
-                kwargs[f] = tuple(payload[f])
-        for f in ("max_instructions", "simulate"):
-            if f in payload:
-                kwargs[f] = int(payload[f])
-        return cls(**kwargs)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -238,7 +201,7 @@ def pareto_mask(np, area, cpi):
 
 @dataclass
 class ScreenResult:
-    """Everything a screening run learned, serializable."""
+    """Everything a screening run learned."""
 
     spec: ScreenSpec
     designs: int
@@ -251,35 +214,8 @@ class ScreenResult:
     model_seconds: float
     #: (designs x workloads) scored per model second.
     scores_per_sec: float
-    #: workload -> Calibration payload (anchor fit diagnostics).
+    #: workload -> Calibration (anchor fit diagnostics).
     calibrations: dict = field(default_factory=dict)
-
-    def to_payload(self) -> dict:
-        return {
-            "spec": self.spec.to_dict(),
-            "designs": self.designs,
-            "workloads": list(self.workloads),
-            "frontier": self.frontier,
-            "model_seconds": self.model_seconds,
-            "scores_per_sec": self.scores_per_sec,
-            "calibrations": self.calibrations,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ScreenResult":
-        """Inverse of :meth:`to_payload`; ValueError on any malformed payload."""
-        try:
-            return cls(
-                spec=ScreenSpec.from_dict(payload["spec"]),
-                designs=int(payload["designs"]),
-                workloads=list(payload["workloads"]),
-                frontier=list(payload["frontier"]),
-                model_seconds=float(payload["model_seconds"]),
-                scores_per_sec=float(payload["scores_per_sec"]),
-                calibrations=dict(payload.get("calibrations", {})),
-            )
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ValueError(f"malformed screen summary: {exc!r}") from None
 
     def render(self) -> str:
         lines = [
@@ -315,11 +251,11 @@ class ScreenPipeline:
     2. :meth:`frontier_requests` -> run them -> :meth:`finish`
     """
 
-    def __init__(self, spec: ScreenSpec, artifacts=None):
+    def __init__(self, spec: ScreenSpec, store=None):
         np = atmodel._require_numpy()
         self.np = np
         self.spec = spec
-        self.artifacts = artifacts
+        self.store = store
         self.workloads = list(spec.workloads) or _all_workloads()
         self.space = enumerate_space(spec)
         self.area, self.delay = space_cost(self.space)
@@ -357,19 +293,17 @@ class ScreenPipeline:
     def calibrate(self, anchor_results: Sequence) -> None:
         """Consume anchor results (in :meth:`anchor_requests` order)."""
         per = len(self.spec.anchors)
-        started = time.perf_counter()
         for w, workload in enumerate(self.workloads):
             chunk = anchor_results[w * per : (w + 1) * per]
             anchors = dict(zip(self.spec.anchors, chunk))
             # The profile of the build the anchors replay.
-            profile = workload_profile(chunk[0].request.build_axes, self.artifacts)
+            profile = workload_profile(chunk[0].request.build_axes, self.store)
             cal = atmodel.calibrate(profile, anchors)
             tick = time.perf_counter()
             pred = atmodel.predict(profile, cal, self.space)
             self.model_seconds += time.perf_counter() - tick
             self.calibrations[workload] = cal
             self.predictions[workload] = pred.cpi
-        self.wall_seconds = time.perf_counter() - started
         self._select_frontier()
 
     def _select_frontier(self) -> None:
@@ -447,9 +381,7 @@ class ScreenPipeline:
             frontier=frontier,
             model_seconds=self.model_seconds,
             scores_per_sec=scored / self.model_seconds if self.model_seconds else 0.0,
-            calibrations={
-                w: c.to_payload() for w, c in self.calibrations.items()
-            },
+            calibrations=dict(self.calibrations),
         )
 
 
@@ -463,24 +395,14 @@ def screen(spec: ScreenSpec, options: "EvalOptions | None" = None) -> ScreenResu
     :func:`~repro.eval.parallel.run_many` with ``options`` (jobs, result
     store, artifact store, progress all apply; with ``server`` set they
     run on that daemon, deduped against its other clients and answered
-    from its store).  Profiles, calibration and scoring run here.  The
-    finished summary is persisted in the result store's auxiliary
-    section when one is attached.
+    from its store).  Profiles, calibration and scoring run here; with a
+    result store attached, profiles are read from and written to it.
     """
     from repro.eval.parallel import run_many
 
     options = options or EvalOptions()
-    if options.store is not None:
-        cached = options.store.get_aux(
-            "screen", spec.to_dict(), ScreenResult.from_payload
-        )
-        if cached is not None:
-            return cached
-    pipeline = ScreenPipeline(spec, artifacts=options.artifacts)
+    pipeline = ScreenPipeline(spec, store=options.store)
     anchor_results = run_many(pipeline.anchor_requests(), options)
     pipeline.calibrate(anchor_results)
     frontier_results = run_many(pipeline.frontier_requests(), options)
-    result = pipeline.finish(frontier_results)
-    if options.store is not None:
-        options.store.put_aux("screen", spec.to_dict(), result.to_payload())
-    return result
+    return pipeline.finish(frontier_results)

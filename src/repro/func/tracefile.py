@@ -60,8 +60,6 @@ _TRACE_HEAD = struct.Struct("<QQ")
 SECTION_PROGRAM = b"PROG"
 SECTION_TRACE = b"TRCE"
 SECTION_PLAN = b"PLAN"
-#: Per-workload analysis profile (see :mod:`repro.analysis.profile`).
-SECTION_PROFILE = b"PROF"
 #: Provenance of an ingested external trace (see :mod:`repro.ingest`):
 #: source digest/record count + window policy, as canonical JSON.  Its
 #: presence marks a container holding a compiled *external* build, and
@@ -69,26 +67,16 @@ SECTION_PROFILE = b"PROF"
 #: so a stale or foreign build reads as a clean cache miss.
 SECTION_EXTERN = b"EXTR"
 
-#: Sections this build of the reader understands.  Unknown tags are
-#: *retained*, not rejected: a version-2 container written by a newer
-#: build (with an extra section kind) must round-trip through an older
-#: reader — consumers look up the tags they know and ignore the rest,
-#: and rewriters (e.g. the artifact store merging a new section into an
-#: existing container) carry unknown payloads forward untouched.  Tag
-#: validity is structural: exactly 4 printable ASCII bytes, which
-#: distinguishes a future extension from a corrupt or foreign file.
-KNOWN_SECTIONS = frozenset(
-    (
-        SECTION_PROGRAM,
-        SECTION_TRACE,
-        SECTION_PLAN,
-        SECTION_PROFILE,
-        SECTION_EXTERN,
-    )
-)
-
 
 def _valid_tag(tag: bytes) -> bool:
+    """Whether ``tag`` is a well-formed section tag: 4 printable ASCII bytes.
+
+    Unknown tags are read back, not rejected: consumers look up the
+    tags they know and ignore the rest, so a container holding a section
+    this build does not know (one written by a newer build, or a retired
+    ``PROF`` or ``KERN`` section) still hydrates.  The structural check
+    tells an unknown section from a corrupt or foreign file.
+    """
     return len(tag) == 4 and all(0x20 <= b < 0x7F for b in tag)
 
 #: Stable order for AddrMode serialization (enum declaration order).
@@ -229,7 +217,7 @@ def decode_program(data: bytes) -> Program:
             name=payload["name"],
             code_base=payload["code_base"],
         )
-    except (ValueError, KeyError, TypeError, IndexError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
         raise TraceFileError(f"malformed program section: {exc}") from exc
 
 
@@ -255,7 +243,7 @@ def decode_extern_meta(data: bytes) -> dict:
     """Rebuild the provenance dict from an ``EXTR`` section payload."""
     try:
         payload = json.loads(data)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise TraceFileError(f"malformed extern section: {exc}") from exc
     if not isinstance(payload, dict):
         raise TraceFileError("malformed extern section: not a JSON object")

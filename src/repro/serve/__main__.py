@@ -17,7 +17,9 @@ second one started on a store that is already served exits with status
 1 and a ``store ... is already served by another daemon`` error.
 
 Stop it with SIGINT/SIGTERM or a client ``shutdown`` op
-(:func:`repro.serve.client.shutdown_server`); both drain cleanly.
+(:func:`repro.serve.client.shutdown_server`).  Neither waits for
+in-flight work: it is cancelled, its clients see the connection close,
+and the journal resubmits it when a daemon next starts on the store.
 """
 
 from __future__ import annotations

@@ -195,7 +195,7 @@ class ServeClient:
         await self._request("ping", ("pong",))
 
     async def shutdown(self) -> None:
-        """Ask the daemon to stop (it drains and exits)."""
+        """Ask the daemon to stop (it cancels in-flight work and exits)."""
         await self._request("shutdown", ("bye",))
 
 

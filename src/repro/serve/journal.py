@@ -62,7 +62,7 @@ class JobJournal:
         for line in lines:
             try:
                 record = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):
                 continue
             if not isinstance(record, dict) or not isinstance(record.get("key"), str):
                 continue

@@ -12,7 +12,7 @@ Client -> server::
                      "requests": [<RunRequest.to_dict()>, ...]}
     {"op": "info"}                  # daemon + scheduler + store counters
     {"op": "ping"}
-    {"op": "shutdown"}              # graceful stop (drains in-flight work)
+    {"op": "shutdown"}              # stop; in-flight work is cancelled
 
 Server -> client::
 

@@ -134,12 +134,6 @@ class Scheduler:
             self.stats.recovered = recovered
         return recovered
 
-    async def drain(self) -> None:
-        """Wait until every accepted request has resolved."""
-        while self._inflight:
-            jobs = list(self._inflight.values())
-            await asyncio.wait([job.future for job in jobs])
-
     async def stop(self) -> None:
         """Cancel outstanding work and shut the pool down."""
         if self._dispatcher is not None:

@@ -10,7 +10,7 @@ from repro.analysis.profile import build_profile, workload_profile
 from repro.analysis.reusedist import StackDistanceAnalyzer
 from repro.eval.runner import _CACHE, RunRequest, run_one
 from repro.tlb.storage import FullyAssocTLB
-from repro.workloads import iter_workload_names, make_workload
+from repro.workloads import iter_workload_names
 
 
 def _miss_curve(pages, capacities=(4, 8, 16, 32, 64, 128)) -> dict:
@@ -176,18 +176,17 @@ class TestWorkloadProfile:
         monkeypatch.setattr(reusedist, "_numpy", lambda: None)
         assert build_profile(trace, workload).to_payload() == vectorized
 
-    def test_profile_hydrates_from_the_artifact_store(self, tmp_path):
-        from repro.eval.artifacts import ArtifactStore
+    def test_profile_hydrates_from_the_result_store(self, tmp_path):
+        from repro.eval.resultstore import ResultStore
 
-        store = ArtifactStore(tmp_path)
+        store = ResultStore(tmp_path)
         axes = RunRequest("compress", "T4", max_instructions=3_000).build_axes
-        program = make_workload("compress").build().program
-        store.save_build(axes, program, _CACHE.get_trace(*axes))
         built = workload_profile(axes, store)
-        assert store.stats.misses == 1 and store.stats.puts == 2
+        assert store.stats.misses == 1 and store.stats.puts == 1
         hydrated = workload_profile(axes, store)
-        assert store.stats.hits == 1
+        assert store.stats.hits == 1 and store.stats.puts == 1
         assert hydrated.to_payload() == built.to_payload()
+        assert workload_profile(axes).to_payload() == built.to_payload()
 
 
 class TestDemandProfile:

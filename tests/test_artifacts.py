@@ -1,15 +1,16 @@
-"""Tests for the on-disk artifact cache and request-level scheduling."""
+"""Tests for the on-disk artifact cache, the profile memo and request-level scheduling."""
 
 import json
 import struct
 
 import pytest
 
-from repro.analysis.profile import PROFILE_VERSION, build_profile, encode_profile_section
+from repro.analysis.profile import PROFILE_VERSION, build_profile, workload_profile
 from repro.engine.frontend import build_fetch_plan, encode_fetch_plan, fetch_config_key
 from repro.eval.artifacts import ArtifactStore
 from repro.eval.options import EvalOptions
 from repro.eval.parallel import _schedule_chunks, run_many
+from repro.eval.resultstore import ResultStore
 from repro.eval.runner import (
     RunRequest,
     _BuildCache,
@@ -19,7 +20,6 @@ from repro.eval.runner import (
 from repro.func.executor import capture_trace
 from repro.func.tracefile import (
     SECTION_PLAN,
-    SECTION_PROFILE,
     SECTION_PROGRAM,
     SECTION_TRACE,
     encode_program,
@@ -94,87 +94,81 @@ class TestArtifactStore:
 
 
 class TestProfileArtifacts:
-    """The PROF section rides in the build container and reads as a
-    clean miss on corruption or a stale payload version."""
+    """A build's analysis profile memoizes as a result-store aux entry of
+    kind ``"profile"`` keyed by the build axes (it was once a ``PROF``
+    section of the build container).  Any corruption or a stale payload
+    version reads as a clean miss, and the rebuilt profile overwrites
+    the entry."""
+
+    SPEC = {"axes": list(AXES)}
 
     def _store_with_profile(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        build, trace = _fresh_build_and_trace()
-        store.save_build(AXES, build.program, trace)
-        return store, build_profile(trace, AXES[0])
+        store = ResultStore(tmp_path)
+        profile = workload_profile(AXES, store)
+        [path] = tmp_path.glob("??/*.json")  # the store's one entry
+        return store, profile, path
+
+    def _assert_miss_then_overwritten(self, tmp_path, profile):
+        store = ResultStore(tmp_path)
+        rebuilt = workload_profile(AXES, store)
+        assert store.stats.misses == 1 and store.stats.hits == 0
+        assert store.stats.puts == 1
+        assert rebuilt.to_payload() == profile.to_payload()
+        fresh = ResultStore(tmp_path)
+        assert workload_profile(AXES, fresh).to_payload() == profile.to_payload()
+        assert fresh.stats.hits == 1 and fresh.stats.puts == 0
 
     def test_round_trip(self, tmp_path):
-        store, profile = self._store_with_profile(tmp_path)
-        assert store.load_profile(AXES) is None  # not saved yet
-        assert store.save_profile(AXES, profile) is not None
-        hydrated = store.load_profile(AXES)
-        assert hydrated is not None
+        store, profile, _ = self._store_with_profile(tmp_path)
+        assert store.stats.misses == 1 and store.stats.puts == 1
+        _, trace = _fresh_build_and_trace()
+        assert profile.to_payload() == build_profile(trace, AXES[0]).to_payload()
+        fresh = ResultStore(tmp_path)
+        hydrated = workload_profile(AXES, fresh)
+        assert fresh.stats.hits == 1 and fresh.stats.puts == 0
         assert hydrated.to_payload() == profile.to_payload()
-        # Other sections survive the merge.
-        assert store.load_build(AXES) is not None
 
     def test_version_mismatch_is_clean_miss(self, tmp_path):
-        store, profile = self._store_with_profile(tmp_path)
-        path = store.save_profile(AXES, profile)
+        store, profile, _ = self._store_with_profile(tmp_path)
         stale = profile.to_payload()
         stale["version"] = PROFILE_VERSION - 1
-        sections = read_container(path)
-        sections[SECTION_PROFILE] = json.dumps(stale).encode()
-        write_container(path, sections)
-        assert store.load_profile(AXES) is None
-        assert store.save_profile(AXES, profile) is not None
-        assert store.load_profile(AXES) is not None
-
-    def test_save_without_build_container_is_noop(self, tmp_path):
-        store, profile = self._store_with_profile(tmp_path)
-        missing = ("xlisp", 32, 32, 1.0, 999)
-        assert store.save_profile(missing, profile) is None
-        assert store.load_profile(missing) is None
+        store.put_aux("profile", self.SPEC, stale)
+        self._assert_miss_then_overwritten(tmp_path, profile)
 
     def test_corrupt_container_is_clean_miss(self, tmp_path):
-        store, profile = self._store_with_profile(tmp_path)
-        store.save_profile(AXES, profile)
-        path = store.build_path(AXES)
-        path.write_bytes(b"garbage" + path.read_bytes()[:32])
-        assert store.load_profile(AXES) is None
+        """The entry's file itself is damaged: truncated JSON."""
+        _, profile, path = self._store_with_profile(tmp_path)
+        path.write_bytes(path.read_bytes()[:32])
+        self._assert_miss_then_overwritten(tmp_path, profile)
 
     @pytest.mark.parametrize(
         "payload",
-        [b"[]", b"1", b'"s"', b"null", b"not json", b"\xff\xfe"],
-        ids=["list", "int", "string", "null", "not-json", "not-utf8"],
+        [b"[]", b"1", b'"s"', b"null", b"not json", b"\xff\xfe", b"[" * 100_000],
+        ids=["list", "int", "string", "null", "not-json", "not-utf8", "nested"],
     )
     def test_corrupt_section_is_a_miss_then_overwritten(self, tmp_path, payload):
-        store, profile = self._store_with_profile(tmp_path)
-        path = store.save_profile(AXES, profile)
-        sections = read_container(path)
-        sections[SECTION_PROFILE] = payload
-        write_container(path, sections)
-        assert store.load_profile(AXES) is None
-        assert store.stats.misses == 1 and store.stats.hits == 0
-        assert store.save_profile(AXES, profile) is not None
-        assert store.load_profile(AXES).to_payload() == profile.to_payload()
+        _, profile, path = self._store_with_profile(tmp_path)
+        path.write_bytes(payload)
+        self._assert_miss_then_overwritten(tmp_path, profile)
 
     def test_wrong_shape_object_is_a_miss(self, tmp_path):
         """Valid JSON of the right version but the wrong shape."""
-        store, profile = self._store_with_profile(tmp_path)
-        path = store.save_profile(AXES, profile)
+        store, profile, _ = self._store_with_profile(tmp_path)
         payload = profile.to_payload()
         payload["streams"] = {"12": []}
-        sections = read_container(path)
-        sections[SECTION_PROFILE] = json.dumps(payload).encode()
-        write_container(path, sections)
-        assert store.load_profile(AXES) is None
-        assert store.stats.misses == 1
+        store.put_aux("profile", self.SPEC, payload)
+        self._assert_miss_then_overwritten(tmp_path, profile)
 
 
 class TestLegacyKernelSection:
-    """Build containers written while a ``KERN`` (encoded replay arrays)
-    section existed stay readable: the tag is now an unknown section,
-    retained on rewrite and ignored on hydration."""
+    """Build containers written while ``KERN`` (encoded replay arrays)
+    and ``PROF`` (analysis profile) sections existed stay readable: both
+    tags are now unknown sections, ignored on hydration."""
 
     KERN = b"KERN"
     #: Header of the retired encoding (magic, version, count) + arrays.
     PAYLOAD = struct.pack("<4sHxxQ", b"KTR\x01", 2, 2_000) + bytes(64)
+    PROF = b"PROF"
 
     def _legacy_store(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -191,7 +185,7 @@ class TestLegacyKernelSection:
                 SECTION_PROGRAM: encode_program(build.program),
                 SECTION_TRACE: encode_trace(trace, len(build.program)),
                 self.KERN: self.PAYLOAD,
-                SECTION_PROFILE: encode_profile_section(profile),
+                self.PROF: json.dumps(profile.to_payload()).encode(),
             },
         )
         plan_path = store.plan_path(AXES, fkey)
@@ -199,10 +193,10 @@ class TestLegacyKernelSection:
         write_container(
             plan_path, {SECTION_PLAN: encode_fetch_plan(plan, len(trace))}
         )
-        return store, build, trace, plan, profile, fkey
+        return store, build, trace, plan, fkey
 
     def test_hydrates_every_known_section(self, tmp_path):
-        store, build, trace, plan, profile, fkey = self._legacy_store(tmp_path)
+        store, build, trace, plan, fkey = self._legacy_store(tmp_path)
         program, hydrated = store.load_build(AXES)
         assert len(program) == len(build.program)
         assert [(d.seq, d.pc, d.ea) for d in hydrated] == [
@@ -211,20 +205,18 @@ class TestLegacyKernelSection:
         loaded_plan = store.load_plan(AXES, fkey, hydrated)
         assert len(loaded_plan.events) == len(plan.events)
         assert loaded_plan.icache_stats == plan.icache_stats
-        hydrated_profile = store.load_profile(AXES)
-        assert hydrated_profile.to_payload() == profile.to_payload()
         assert store.stats.misses == 0
 
     def test_rewrites_keep_the_container_readable(self, tmp_path):
-        store, _, trace, plan, profile, fkey = self._legacy_store(tmp_path)
-        assert store.save_profile(AXES, profile) is not None
+        """The build cache's write-through replaces a legacy container
+        whole: the retired sections go, and the build still hydrates."""
+        store, build, trace, plan, fkey = self._legacy_store(tmp_path)
+        store.save_build(AXES, build.program, trace)
         store.save_plan(AXES, fkey, plan)
-        assert read_container(store.build_path(AXES))[self.KERN] == self.PAYLOAD
+        assert set(read_container(store.build_path(AXES))) == {SECTION_PROGRAM, SECTION_TRACE}
         _, hydrated = store.load_build(AXES)
         assert len(hydrated) == len(trace)
         assert store.load_plan(AXES, fkey, hydrated) is not None
-        hydrated_profile = store.load_profile(AXES)
-        assert hydrated_profile.to_payload() == profile.to_payload()
 
 
 class TestBuildCacheHydration:

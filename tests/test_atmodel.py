@@ -110,10 +110,6 @@ class TestCalibration:
         for mnemonic, (measured, fitted) in calibration.anchor_fit.items():
             assert fitted == pytest.approx(measured, rel=0.15), mnemonic
 
-    def test_payload_round_trip(self, calibration):
-        restored = atmodel.Calibration.from_payload(calibration.to_payload())
-        assert restored == calibration
-
     def test_ranking_sane_on_table2(self, profile, calibration):
         """128-entry 4-ported beats 16-entry 4-ported; PERFECT beats all."""
         space = atmodel.mnemonic_space(["T4", "T4E16", "PERFECT"])

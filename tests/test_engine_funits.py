@@ -8,8 +8,9 @@ from repro.isa.opcodes import OpClass
 
 
 @pytest.fixture
-def pool():
-    return FunctionalUnitPool(MachineConfig())
+def units():
+    """Per-opclass ``(free_at, busy, latency)`` of a Table-1 machine."""
+    return FunctionalUnitPool(MachineConfig()).class_map()
 
 
 class TestConfig:
@@ -38,51 +39,46 @@ class TestConfig:
 
 
 class TestLatencies:
-    def test_table1_latencies(self, pool):
-        assert pool.latency_of(OpClass.IALU) == 1
-        assert pool.latency_of(OpClass.LOAD) == 2
-        assert pool.latency_of(OpClass.STORE) == 2
-        assert pool.latency_of(OpClass.IMULT) == 3
-        assert pool.latency_of(OpClass.IDIV) == 12
-        assert pool.latency_of(OpClass.FPADD) == 2
-        assert pool.latency_of(OpClass.FPMULT) == 4
-        assert pool.latency_of(OpClass.FPDIV) == 12
+    def test_table1_latencies(self, units):
+        latency = {op_class: units[op_class][2] for op_class in units}
+        assert latency[OpClass.IALU] == 1
+        assert latency[OpClass.LOAD] == 2
+        assert latency[OpClass.STORE] == 2
+        assert latency[OpClass.IMULT] == 3
+        assert latency[OpClass.IDIV] == 12
+        assert latency[OpClass.FPADD] == 2
+        assert latency[OpClass.FPMULT] == 4
+        assert latency[OpClass.FPDIV] == 12
 
 
 class TestScheduling:
-    def test_eight_alus_per_cycle(self, pool):
-        for _ in range(8):
-            assert pool.can_issue(OpClass.IALU, 0)
-            pool.issue(OpClass.IALU, 0)
-        assert not pool.can_issue(OpClass.IALU, 0)
-        assert pool.can_issue(OpClass.IALU, 1)
+    """Table 1's unit counts and sharing, read off ``class_map()``:
+    op classes that share a unit class share one live ``free_at`` list."""
 
-    def test_four_ldst_units(self, pool):
-        for _ in range(4):
-            pool.issue(OpClass.LOAD, 0)
-        assert not pool.can_issue(OpClass.STORE, 0)  # shared unit class
+    def test_eight_alus_per_cycle(self, units):
+        free_at, busy, _ = units[OpClass.IALU]
+        assert len(free_at) == 8 and busy == 1
 
-    def test_pipelined_units_free_next_cycle(self, pool):
-        pool.issue(OpClass.FPMULT, 0)
-        assert pool.can_issue(OpClass.FPMULT, 1)
+    def test_four_ldst_units(self, units):
+        load, store = units[OpClass.LOAD][0], units[OpClass.STORE][0]
+        assert load is store  # shared unit class
+        assert len(load) == 4
 
-    def test_divider_blocks_for_full_latency(self, pool):
-        done = pool.issue(OpClass.IDIV, 0)
-        assert done == 12
-        assert not pool.can_issue(OpClass.IDIV, 5)
-        assert not pool.can_issue(OpClass.IMULT, 5)  # same physical unit
-        assert pool.can_issue(OpClass.IDIV, 12)
+    def test_pipelined_units_free_next_cycle(self, units):
+        for op_class in (OpClass.IALU, OpClass.LOAD, OpClass.IMULT, OpClass.FPADD, OpClass.FPMULT):
+            assert units[op_class][1] == 1, op_class
 
-    def test_fp_divider_blocks_fp_multiplier(self, pool):
-        pool.issue(OpClass.FPDIV, 0)
-        assert not pool.can_issue(OpClass.FPMULT, 6)
-        assert pool.can_issue(OpClass.FPMULT, 12)
+    def test_divider_blocks_for_full_latency(self, units):
+        free_at, busy, latency = units[OpClass.IDIV]
+        assert busy == latency == 12
+        assert free_at is units[OpClass.IMULT][0]  # same physical unit
 
-    def test_issue_without_free_unit_raises(self, pool):
-        pool.issue(OpClass.IDIV, 0)
-        with pytest.raises(RuntimeError):
-            pool.issue(OpClass.IDIV, 3)
+    def test_fp_divider_blocks_fp_multiplier(self, units):
+        free_at, busy, latency = units[OpClass.FPDIV]
+        assert busy == latency == 12
+        assert free_at is units[OpClass.FPMULT][0]
 
-    def test_branches_use_alus(self, pool):
-        assert FunctionalUnitPool.unit_class(OpClass.BRANCH) == "ialu"
-        assert FunctionalUnitPool.unit_class(OpClass.JUMP) == "ialu"
+    def test_branches_use_alus(self, units):
+        alus = units[OpClass.IALU][0]
+        assert units[OpClass.BRANCH][0] is alus
+        assert units[OpClass.JUMP][0] is alus

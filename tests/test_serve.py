@@ -10,6 +10,7 @@ the local engine.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import os
 import signal
@@ -205,6 +206,7 @@ class TestJobJournal:
             '{"event": "queued", "key": ["k"], "request": {}}',
             '{"event": "done", "key": 5}',
             '{"event": "queued", "request": {}}',
+            pytest.param("[" * 100_000, id="nested"),
         ],
     )
     def test_non_record_line_is_skipped(self, tmp_path, line):
@@ -218,7 +220,7 @@ class TestJobJournal:
         async def main():
             sched = Scheduler(store=ResultStore(tmp_path / "store"), journal=journal, jobs=1)
             assert await sched.start() == 1
-            await sched.drain()
+            await sched.submit_one(req).future  # joins the recovered job
             await sched.stop()
             assert sched.stats.simulated == 1
 
@@ -337,9 +339,10 @@ class TestScheduler:
             )
             recovered = await sched.start()
             assert recovered == 1 and sched.stats.recovered == 1
-            await sched.drain()
+            # Resubmitting joins the recovered in-flight job.
+            _, source = await sched.submit_one(req).future
             await sched.stop()
-            assert sched.stats.simulated == 1
+            assert source == "simulated" and sched.stats.simulated == 1
 
         asyncio.run(main())
         assert ResultStore(tmp_path / "store").get(req) is not None
@@ -517,6 +520,49 @@ class TestEvalServer:
         assert stats.submitted == 0 and stats.simulated == 0
 
 
+class TestShutdown:
+    def test_shutdown_cancels_inflight_work_and_the_journal_resubmits_it(self, tmp_path):
+        """``shutdown`` does not drain: the request in flight fails at
+        once on its client, stays in the journal, and is simulated when
+        a daemon next starts on the store."""
+        req = RunRequest(workload="espresso", design="T4", max_instructions=40_000)
+        addr = f"unix:{tmp_path}/s.sock"
+        store_dir = tmp_path / "store"
+
+        async def main():
+            server = build_server(addr, EvalOptions(jobs=1, store=ResultStore(store_dir)))
+            await server.start()
+            serving = asyncio.create_task(server.serve_until_stopped())
+            client = await ServeClient.connect(addr, retry_for=5)
+            batch = await client.submit([req])
+            with pytest.raises(ServeError, match="connection closed before the batch finished"):
+                async for message in client.stream(batch):
+                    if message["op"] == "ack":
+                        control = await ServeClient.connect(addr, retry_for=5)
+                        await control.shutdown()
+                        await control.close()
+            await client.close()
+            await asyncio.wait_for(serving, 30)
+            return server.scheduler.stats
+
+        stats = asyncio.run(main())
+        assert stats.simulated == 0
+        assert ResultStore(store_dir).get(req) is None
+        assert JobJournal(store_dir / "journal.jsonl").replay() == [req]
+
+        async def restart():
+            server = build_server(addr, EvalOptions(jobs=1, store=ResultStore(store_dir)))
+            recovered = await server.start()
+            try:
+                _, source = await server.scheduler.submit_one(req).future
+            finally:
+                await server.stop()
+            return recovered, source
+
+        assert asyncio.run(restart()) == (1, "simulated")
+        assert ResultStore(store_dir).get(req) is not None
+
+
 class TestScreenThroughServer:
     """A screen has one driver: ``screen(spec, options)``.  With
     ``options.server`` set its anchor and frontier batches go to the
@@ -564,13 +610,13 @@ class TestScreenThroughServer:
         assert simulated_after == simulated
 
         local = screen(spec, EvalOptions(jobs=1))
-        payloads = [r.to_payload() for r in (first, second, local)]
         # Host timings of the model pass are measurements, not results.
-        for payload in payloads:
-            payload.pop("model_seconds")
-            payload.pop("scores_per_sec")
-        assert payloads[0] == payloads[2]
-        assert payloads[1] == payloads[2]
+        untimed = [
+            dataclasses.replace(r, model_seconds=0.0, scores_per_sec=0.0)
+            for r in (first, second, local)
+        ]
+        assert untimed[0] == untimed[2]
+        assert untimed[1] == untimed[2]
 
     def test_screen_op_is_unknown(self, tmp_path):
         async def main():

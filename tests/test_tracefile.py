@@ -19,7 +19,6 @@ from repro.func.dyninst import DynInst
 from repro.func.executor import Executor, capture_trace
 from repro.func.tracefile import (
     SECTION_EXTERN,
-    SECTION_PROFILE,
     SECTION_PROGRAM,
     SECTION_TRACE,
     TraceFileError,
@@ -36,9 +35,10 @@ from repro.isa.assembler import assemble
 from repro.tlb.factory import make_mechanism
 from repro.workloads import make_workload
 
-#: Tag of the retired encoded-replay-arrays section; old build
-#: containers still carry it as an unknown, retained section.
+#: Tags of the retired encoded-replay-arrays and analysis-profile
+#: sections; old build containers still carry them as unknown sections.
 LEGACY_KERN = b"KERN"
+LEGACY_PROF = b"PROF"
 
 ASM = """
     lui  r2, 0x2000
@@ -290,7 +290,7 @@ class TestCorruptSectionLengths:
         return path
 
     @pytest.mark.parametrize(
-        "tag", [SECTION_EXTERN, LEGACY_KERN, SECTION_PROFILE, SECTION_TRACE]
+        "tag", [SECTION_EXTERN, LEGACY_KERN, LEGACY_PROF, SECTION_TRACE]
     )
     def test_huge_declared_length_rejected(self, tmp_path, tag):
         path = self._container(tmp_path, tag)
@@ -302,7 +302,7 @@ class TestCorruptSectionLengths:
         with pytest.raises(TraceFileError, match="declares"):
             read_container(path)
 
-    @pytest.mark.parametrize("tag", [SECTION_EXTERN, LEGACY_KERN, SECTION_PROFILE])
+    @pytest.mark.parametrize("tag", [SECTION_EXTERN, LEGACY_KERN, LEGACY_PROF])
     def test_trailing_section_truncated_on_disk_rejected(self, tmp_path, tag):
         # The doctored tag is the *last* section: without an explicit
         # length-vs-file-size check its short read would previously
